@@ -68,6 +68,11 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+# JSON types a config field of each kind accepts; nothing else is coerced,
+# and a boolean never passes as a number
+_CONFIG_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
+
+
 def _merged(args, cfg: dict, key: str, kind, default=None, required=False):
     """Flag value if given, else config-file value, else default. Type errors
     carry the config field path."""
@@ -76,14 +81,9 @@ def _merged(args, cfg: dict, key: str, kind, default=None, required=False):
         return flag
     if key in cfg:
         value = cfg[key]
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ValueError(f"config.{key}: expected true/false, got {value!r}")
-            return value
-        try:
-            return kind(value)
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"config.{key}: expected {kind.__name__}, got {value!r}") from exc
+        if type(value) not in _CONFIG_TYPES[kind]:
+            raise ValueError(f"config.{key}: expected {kind.__name__}, got {value!r}")
+        return kind(value)
     if required and default is None:
         raise ValueError(f"config.{key}: required (flag or config file)")
     return default
@@ -169,11 +169,11 @@ def _graph_from_args(args, master_seed: int) -> sbm_graph.Graph:
 def cmd_simulate(args) -> int:
     seed = resolve_seed(args.seed)
     g = _graph_from_args(args, seed)
-    rule = eh.rule_from_name(args.model)
+    rule = vc.rule_from_name(args.model)
     family = vc.parse_init_family(args.init)
     rng = np.random.Generator(np.random.Philox(seed))
     s0 = vc.make_initial(g, family, rng)
-    traj = vc.run_until_consensus(g, s0, rule, args.max_steps, rng, record=True)
+    traj = vc.run_until_consensus(g, s0, rule, args.max_steps, rng)
     fh, close = _open_out(args.output)
     try:
         vc.write_trajectory_csv(traj, fh)
@@ -210,12 +210,16 @@ def cmd_vector_field(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg_file = load_config(args.config)
-    r_grid = cfg_file.get("r_grid")
     if args.r_grid:
         r_grid = [float(tok) for tok in args.r_grid.split(",")]
-    if not r_grid:
-        raise ValueError("config.r_grid: required (or --r-grid)")
-    r_grid = [float(v) for v in r_grid]
+    else:
+        r_grid = cfg_file.get("r_grid")
+        numbers = isinstance(r_grid, list) and all(type(v) in _CONFIG_TYPES[float] for v in r_grid)
+        if not (numbers and r_grid):
+            raise ValueError(
+                f"config.r_grid: expected a non-empty list of numbers (or --r-grid), got {r_grid!r}"
+            )
+        r_grid = [float(v) for v in r_grid]
     cfg = _experiment_config(
         args, cfg_file, default_init="biased_global(0.2)", default_steps=50,
         r_fallback=r_grid[0],
@@ -309,7 +313,7 @@ def cmd_deviation(args) -> int:
 def cmd_goodness(args) -> int:
     seed = resolve_seed(args.seed)
     g = _graph_from_args(args, seed)
-    rule = eh.rule_from_name(args.rule)
+    rule = vc.rule_from_name(args.rule)
     rng = np.random.Generator(np.random.Philox(eh.derive_seed(seed, "goodness")))
     orders = [int(tok) for tok in args.l.split(",")] if args.l else [1, 2, 3]
     sizes = [int(tok) for tok in args.sizes.split(",")] if args.sizes else None
@@ -333,7 +337,7 @@ def render_vector_field(model: str, r: float, grid_step: float, space: str) -> s
         raise ValueError("grid step must lie in (0,1]")
     if space not in ("alpha", "delta"):
         raise ValueError("space must be 'alpha' or 'delta'")
-    rule = eh.rule_from_name(model)
+    rule = vc.rule_from_name(model)
     m = idyn.induced_map(rule, r, space=space)
     axis = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
     g1, g2 = np.meshgrid(axis, axis)
@@ -393,8 +397,7 @@ def _fixed_point_markers(model: str, u: float, space: str) -> list[str]:
                     continue
                 px, py = i1 * SVG_SIZE, SVG_SIZE - i2 * SVG_SIZE
             else:
-                a1 = (1.0 + i2 + i1) / 2.0
-                a2 = (1.0 + i2 - i1) / 2.0
+                a1, a2 = vc.to_alpha(i1, i2)
                 px, py = a1 * SVG_SIZE, SVG_SIZE - a2 * SVG_SIZE
             fill = "#c33" if rep.classification in filled_classes else "none"
             out.append(

@@ -49,11 +49,6 @@ def _as_mask(nv: int, s) -> np.ndarray:
     return mask
 
 
-def _deg_in(g: Graph, mask: np.ndarray) -> np.ndarray:
-    csum = np.concatenate(([0], np.cumsum(mask[g.neighbors], dtype=np.int64)))
-    return csum[g.offsets[1:]] - csum[g.offsets[:-1]]
-
-
 def w_stat(g: Graph, s0, sets) -> float:
     """Exact crossing-star count: sum over s0 of the product of per-set degrees."""
     if len(sets) < 1:
@@ -61,7 +56,7 @@ def w_stat(g: Graph, s0, sets) -> float:
     nv = g.num_vertices
     prod = np.ones(nv, dtype=np.int64)
     for s in sets:
-        prod *= _deg_in(g, _as_mask(nv, s))
+        prod *= g.count_in(_as_mask(nv, s))
     return float(prod[_as_mask(nv, s0)].sum())
 
 
@@ -133,8 +128,7 @@ def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generato
 
 
 def _ratio_profile(g: Graph, a_mask: np.ndarray):
-    deg = g.degrees
-    x = _deg_in(g, a_mask) / np.maximum(deg, 1)
+    x = g.count_in(a_mask) / np.maximum(g.degrees, 1)
     c1 = int(np.count_nonzero(a_mask[: g.n]))
     c2 = int(np.count_nonzero(a_mask[g.n :]))
     denom = g.n * (g.p + g.q)

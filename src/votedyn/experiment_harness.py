@@ -12,7 +12,6 @@ and live with the callers; nothing here inherits asymptotic constants.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import csv
@@ -29,16 +28,13 @@ from . import voting_core as vc
 __all__ = [
     "ExperimentConfig",
     "TrialRecord",
-    "rule_from_name",
     "derive_seed",
-    "step_budget",
     "run_trials",
     "phase_sweep",
     "sink_persistence",
     "trajectory_deviation",
     "escape_time",
     "worst_case_scan",
-    "consensus_time_scaling",
     "adversarial_families",
     "write_results_csv",
     "RESULTS_HEADER",
@@ -47,29 +43,9 @@ __all__ = [
 RESULTS_HEADER = "model,n,p,q,r,init,trial,seed,t_cons,timeout,final_opinion,peak_abs_delta2"
 
 
-def rule_from_name(name: str) -> vc.VotingRule:
-    if name == "bo3":
-        return vc.make_rule_bo3()
-    if name == "bo2":
-        return vc.make_rule_bo2()
-    if name.startswith("best_of_"):
-        m = int(name.rsplit("_", 1)[1])
-        if m < 3 or m % 2 == 0:
-            raise ValueError(f"best_of_<m> needs odd m >= 3, got {m}")
-        return vc.make_rule_best_of((m - 1) // 2)
-    raise ValueError(f"unknown rule name: {name!r}")
-
-
 def derive_seed(master_seed: int, *parts) -> int:
     text = ":".join([str(int(master_seed))] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-def step_budget(n: int, p: float, c: float) -> int:
-    """Suggested step budget C(log log n + log n / log(np)) for fast-consensus runs."""
-    if n < 3 or n * p <= 1.0:
-        raise ValueError("need n >= 3 and np > 1")
-    return math.ceil(c * (math.log(math.log(n)) + math.log(n) / math.log(n * p)))
 
 
 @dataclass(frozen=True)
@@ -92,7 +68,7 @@ class ExperimentConfig:
             raise ValueError("p must lie in (0,1]")
         if self.n < 1 or self.trials < 1 or self.max_steps < 0 or self.workers < 1:
             raise ValueError("n, trials >= 1; max_steps >= 0; workers >= 1")
-        rule_from_name(self.model)  # validates the name
+        vc.rule_from_name(self.model)  # validates the name
 
     @property
     def q(self) -> float:
@@ -116,72 +92,43 @@ class TrialRecord:
     alphas: list | None = field(default=None, repr=False)
 
 
-_GRAPH_CACHE: OrderedDict = OrderedDict()
-_GRAPH_CACHE_LIMIT = 8
+def _stop_for(task: dict):
+    """The stopping event of an escape or sink trial, as a predicate on the
+    community fractions; None for consensus and deviation trials."""
+    if task["mode"] == "escape":
+        kappa = task["kappa"]
+        return lambda a1, a2: abs(vc.to_delta(a1, a2)[1]) > kappa
+    if task["mode"] == "sink":
+        (c1, c2), epsilon = task["center"], task["epsilon"]
 
+        def escaped(a1, a2):
+            d1, d2 = vc.to_delta(a1, a2)
+            return math.hypot(d1 - c1, d2 - c2) > epsilon
 
-def _cached_graph(n: int, p: float, q: float, seed: int) -> sbm_graph.Graph:
-    key = (n, p, q, seed)
-    if key in _GRAPH_CACHE:
-        _GRAPH_CACHE.move_to_end(key)
-        return _GRAPH_CACHE[key]
-    g = sbm_graph.generate_sbm(n, p, q, seed)
-    _GRAPH_CACHE[key] = g
-    if len(_GRAPH_CACHE) > _GRAPH_CACHE_LIMIT:
-        _GRAPH_CACHE.popitem(last=False)
-    return g
+        return escaped
+    return None
 
 
 def _run_one(task: dict) -> TrialRecord:
-    g = _cached_graph(task["n"], task["p"], task["q"], task["graph_seed"])
-    rule = rule_from_name(task["model"])
+    g = task["graph"]
+    if g is None:
+        g = sbm_graph.generate_sbm(task["n"], task["p"], task["q"], task["graph_seed"])
     rng = np.random.Generator(np.random.Philox(task["seed"]))
     s = vc.make_initial(g, task["init"], rng)
+    rule = vc.rule_from_name(task["model"])
+    traj = vc.run_until_consensus(g, s, rule, task["max_steps"], rng, stop=_stop_for(task))
+    stopped_at = traj.steps_run if traj.status == vc.STATUS_STOPPED else None
     mode = task["mode"]
-    max_steps = task["max_steps"]
-    nv = g.num_vertices
-
-    t_cons = None
-    final_opinion = None
-    tau_kappa = None
-    escaped_at = None
-    alphas = []
-    peak = 0.0
-    t = 0
-    while True:
-        a1, a2 = vc.fractions(s)
-        d1, d2 = vc.to_delta(a1, a2)
-        peak = max(peak, abs(d2))
-        if mode == "deviation":
-            alphas.append((a1, a2))
-        if mode == "escape" and tau_kappa is None and abs(d2) > task["kappa"]:
-            tau_kappa = t
-            break
-        if mode == "sink":
-            c1, c2 = task["center"]
-            if math.hypot(d1 - c1, d2 - c2) > task["epsilon"]:
-                escaped_at = t
-                break
-        total = s.count1 + s.count2
-        if total == 0 or total == nv:
-            t_cons = t
-            final_opinion = 1 if total == nv else 2
-            break
-        if t == max_steps:
-            break
-        s = vc.step(g, s, rule, rng)
-        t += 1
-
     return TrialRecord(
         trial=task["trial"],
         seed=task["seed"],
-        t_cons=t_cons,
-        timeout=t_cons is None,
-        final_opinion=final_opinion,
-        peak_abs_delta2=peak,
-        tau_kappa=tau_kappa,
-        escaped_at=escaped_at,
-        alphas=alphas if mode == "deviation" else None,
+        t_cons=traj.t_cons,
+        timeout=traj.t_cons is None,
+        final_opinion=traj.final_opinion,
+        peak_abs_delta2=max(abs(vc.to_delta(a1, a2)[1]) for _t, a1, a2 in traj.records),
+        tau_kappa=stopped_at if mode == "escape" else None,
+        escaped_at=stopped_at if mode == "sink" else None,
+        alphas=[(a1, a2) for _t, a1, a2 in traj.records] if mode == "deviation" else None,
     )
 
 
@@ -200,6 +147,11 @@ def run_trials(
         raise ValueError("no init family configured")
     if isinstance(family, str):
         family = vc.parse_init_family(family)
+    shared = None
+    if cfg.shared_graph:
+        shared = sbm_graph.generate_sbm(
+            cfg.n, cfg.p, cfg.q, derive_seed(cfg.master_seed, exp_id, "graph", 0)
+        )
     tasks = []
     for trial in range(cfg.trials):
         graph_tag = 0 if cfg.shared_graph else trial
@@ -208,6 +160,7 @@ def run_trials(
             "n": cfg.n,
             "p": cfg.p,
             "q": cfg.q,
+            "graph": shared,
             "graph_seed": derive_seed(cfg.master_seed, exp_id, "graph", graph_tag),
             "seed": derive_seed(cfg.master_seed, exp_id, trial),
             "init": family,
@@ -217,11 +170,11 @@ def run_trials(
         }
         task.update(mode_params or {})
         tasks.append(task)
-    if cfg.shared_graph:
-        _cached_graph(cfg.n, cfg.p, cfg.q, tasks[0]["graph_seed"])  # warm before fork
     if cfg.workers > 1:
+        # one chunk per worker, so a shared graph is pickled once per worker
+        chunk = -(-len(tasks) // cfg.workers)
         with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            records = list(pool.map(_run_one, tasks))
+            records = list(pool.map(_run_one, tasks, chunksize=chunk))
     else:
         records = [_run_one(t) for t in tasks]
     records.sort(key=lambda rec: rec.trial)
@@ -296,7 +249,7 @@ def trajectory_deviation(cfg: ExperimentConfig, t_max: int) -> dict:
         raise ValueError("t_max must lie in [0, 50]")
     exp_id = f"deviation:t={t_max}"
     records = run_trials(cfg, exp_id, mode="deviation", max_steps=t_max)
-    m = idyn.induced_map(rule_from_name(cfg.model), cfg.r, space="alpha")
+    m = idyn.induced_map(vc.rule_from_name(cfg.model), cfg.r, space="alpha")
     per_step = np.zeros((len(records), t_max + 1))
     for k, rec in enumerate(records):
         orbit = idyn.iterate(m, rec.alphas[0], t_max).points
@@ -323,6 +276,8 @@ def escape_time(cfg: ExperimentConfig, kappa: float, budget: int) -> dict:
     """First step at which |delta2| exceeds kappa, per trial, capped at budget."""
     if not 0.0 < kappa < 1.0:
         raise ValueError("kappa must lie in (0,1)")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     exp_id = f"escape:kappa={kappa:.9g}"
     records = run_trials(
         cfg, exp_id, mode="escape", mode_params={"kappa": kappa}, max_steps=budget
@@ -387,31 +342,6 @@ def worst_case_scan(cfg: ExperimentConfig, families=None) -> dict:
         "all_consensus": len(times) == len(all_records),
         "max_t_cons": max(times) if times else None,
         "records": all_records,
-    }
-
-
-def consensus_time_scaling(cfg: ExperimentConfig, n_grid) -> dict:
-    """Median consensus time per n and the least-squares slope against ln n."""
-    n_grid = [int(v) for v in n_grid]
-    if sorted(n_grid) != n_grid:
-        raise ValueError("n_grid must be ascending")
-    medians = {}
-    for n in n_grid:
-        sub = replace(cfg, n=n)
-        stats = _consensus_stats(run_trials(sub, f"scaling:n={n}"))
-        medians[n] = stats["median_t_cons"]
-    if any(v is None for v in medians.values()):
-        return {"medians": medians, "slope": None, "status": "timeout_dominated"}
-    if len(n_grid) < 2:
-        return {"medians": medians, "slope": None, "status": "single_point"}
-    xs = np.log(np.array(n_grid, dtype=np.float64))
-    ys = np.array([medians[n] for n in n_grid], dtype=np.float64)
-    slope, intercept = np.polyfit(xs, ys, 1)
-    return {
-        "medians": medians,
-        "slope": float(slope),
-        "intercept": float(intercept),
-        "status": "ok",
     }
 
 

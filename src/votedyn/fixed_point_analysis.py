@@ -251,6 +251,7 @@ class FixedPointReport:
                 "eigenvalues": None,
                 "singular_values": None,
                 "class": None,
+                "residual": None,
             }
         l1, l2 = self.eigenvalues
         return {
@@ -271,19 +272,11 @@ class FixedPointReport:
         }
 
 
-def _rule_for(model: str) -> vc.VotingRule:
-    if model == "bo3":
-        return vc.make_rule_bo3()
-    if model == "bo2":
-        return vc.make_rule_bo2()
-    raise ValueError(f"unknown model: {model!r}")
-
-
 def analyze(model: str, u: float) -> list[FixedPointReport]:
     """Full per-fixed-point report at a given u: location, general-form
     Jacobian, eigenvalues, singular values, class, and map residual."""
     locs = fixed_point_locations(model, u)
-    m = idyn.induced_map(_rule_for(model), idyn.r_of_u(u))
+    m = idyn.induced_map(vc.rule_from_name(model), idyn.r_of_u(u))
     reports = []
     for fp_id in FP_IDS:
         if fp_id not in locs:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .voting_core import VotingRule
+from .voting_core import VotingRule, to_alpha, to_delta
 
 __all__ = [
     "InducedMap",
@@ -123,16 +123,8 @@ def eval_T_bo2(u: float, d):
 
 def eval_T_generic(m: InducedMap, d):
     """Delta-space step through the alpha-space route, for any rule."""
-    d1 = np.asarray(d[0], dtype=np.float64)
-    d2 = np.asarray(d[1], dtype=np.float64)
-    a1 = (1.0 + d2 + d1) / 2.0
-    a2 = (1.0 + d2 - d1) / 2.0
-    h1, h2 = eval_H(m, (a1, a2))
-    t1 = np.asarray(h1) - np.asarray(h2)
-    t2 = np.asarray(h1) + np.asarray(h2) - 1.0
-    if t1.ndim == 0:
-        return float(t1), float(t2)
-    return t1, t2
+    a = to_alpha(np.asarray(d[0], dtype=np.float64), np.asarray(d[1], dtype=np.float64))
+    return to_delta(*eval_H(m, a))
 
 
 @dataclass

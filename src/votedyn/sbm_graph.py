@@ -21,8 +21,6 @@ __all__ = [
     "DegreeStats",
     "generate_sbm",
     "degree_stats",
-    "connectivity_report",
-    "deg_in_set",
     "graph_from_edges",
     "save_graph",
     "load_graph",
@@ -32,7 +30,7 @@ __all__ = [
 DENSE_LIMIT = 2000
 
 
-@dataclass
+@dataclass(frozen=True)
 class Graph:
     """Immutable adjacency in compressed form: sorted neighbor lists per vertex.
 
@@ -49,6 +47,8 @@ class Graph:
         Edge probabilities recorded at generation time.
     seed : int
         Generation seed recorded for serialization.
+    degrees : ndarray of int64, shape (2n,)
+        Per-vertex degrees, computed at construction.
     """
 
     n: int
@@ -57,11 +57,13 @@ class Graph:
     p: float
     q: float
     seed: int = 0
-    _degrees: np.ndarray = field(default=None, repr=False, compare=False)
+    degrees: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.offsets.setflags(write=False)
-        self.neighbors.setflags(write=False)
+        degrees = self.offsets[1:] - self.offsets[:-1]
+        for arr in (self.offsets, self.neighbors, degrees):
+            arr.setflags(write=False)
+        object.__setattr__(self, "degrees", degrees)
 
     @property
     def num_vertices(self) -> int:
@@ -71,17 +73,20 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.neighbors.size) // 2
 
-    @property
-    def degrees(self) -> np.ndarray:
-        if self._degrees is None:
-            object.__setattr__(self, "_degrees", np.diff(self.offsets))
-        return self._degrees
-
     def neighbors_of(self, v: int) -> np.ndarray:
         return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
 
-    def community(self, v: int) -> int:
-        return 1 if v < self.n else 2
+    def count_in(self, mask: np.ndarray) -> np.ndarray:
+        """Each vertex's number of neighbors inside a boolean vertex mask."""
+        # one reduceat over the vote array; the trailing zero gives a degree-0
+        # last vertex a valid start index. A degree-0 vertex reads one stray
+        # vote, so isolated vertices are zeroed afterwards.
+        votes = np.zeros(self.neighbors.size + 1, dtype=bool)
+        votes[:-1] = mask[self.neighbors]
+        count = np.add.reduceat(votes.view(np.uint8), self.offsets[:-1], dtype=np.int32)
+        if np.count_nonzero(self.degrees) < self.degrees.size:
+            count[self.degrees == 0] = 0
+        return count
 
 
 @dataclass
@@ -205,50 +210,6 @@ def degree_stats(g: Graph) -> DegreeStats:
         max_abs_dev=max_abs_dev,
         normalized_dev=normalized,
     )
-
-
-def _neighbor_block(g: Graph, verts: np.ndarray) -> np.ndarray:
-    # gather the concatenated neighbor lists of `verts` without a python loop
-    starts = g.offsets[verts]
-    counts = g.offsets[verts + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out_base = np.concatenate(([0], np.cumsum(counts)[:-1]))
-    idx = np.arange(total) - np.repeat(out_base, counts) + np.repeat(starts, counts)
-    return g.neighbors[idx]
-
-
-def connectivity_report(g: Graph) -> dict:
-    """BFS sweep: {'connected': bool, 'bipartite': bool} via 2-coloring."""
-    nv = g.num_vertices
-    dist = np.full(nv, -1, dtype=np.int64)
-    components = 0
-    for start in range(nv):
-        if dist[start] >= 0:
-            continue
-        components += 1
-        dist[start] = 0
-        frontier = np.array([start], dtype=np.int64)
-        level = 0
-        while frontier.size:
-            level += 1
-            nbrs = _neighbor_block(g, frontier)
-            nbrs = np.unique(nbrs)
-            nbrs = nbrs[dist[nbrs] < 0]
-            dist[nbrs] = level
-            frontier = nbrs
-    color = dist % 2
-    src = np.repeat(np.arange(nv), g.degrees)
-    bipartite = not bool(np.any(color[src] == color[g.neighbors]))
-    return {"connected": components == 1, "bipartite": bipartite}
-
-
-def deg_in_set(g: Graph, v: int, s) -> int:
-    """Count neighbors of v holding opinion 1; s is an OpinionState or a
-    boolean membership mask over the 2n vertices."""
-    member = getattr(s, "member", s)
-    return int(np.count_nonzero(member[g.neighbors_of(v)]))
 
 
 def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 0) -> Graph:

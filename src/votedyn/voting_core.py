@@ -34,10 +34,11 @@ __all__ = [
     "make_rule_bo2",
     "make_rule_best_of",
     "make_rule_polynomial",
+    "rule_from_name",
     "state_from_member",
-    "state_from_sets",
     "fractions",
     "to_delta",
+    "to_alpha",
     "from_delta",
     "step_probabilities",
     "step_probability",
@@ -57,6 +58,7 @@ __all__ = [
 RANGE_GRID = 1000  # rule range check resolution at construction
 STATUS_CONSENSUS = "consensus"
 STATUS_TIMEOUT = "timeout"
+STATUS_STOPPED = "stopped"
 
 
 @dataclass
@@ -167,6 +169,27 @@ def make_rule_polynomial(name: str, f1_coeffs, f2_coeffs) -> VotingRule:
     return VotingRule(name=name, f1_coeffs=f1_coeffs, f2_coeffs=f2_coeffs, sampler=None)
 
 
+def _draws(name: str) -> int:
+    """Neighbor samples per vertex of a named sampling rule: bo2, bo3, or
+    best_of_<m> for odd m >= 3. Rule names and sampler tags share this parse."""
+    if name in ("bo2", "bo3"):
+        return int(name[2])
+    m = name.removeprefix("best_of_")
+    if m != name and m.isdecimal() and int(m) >= 3 and int(m) % 2 == 1:
+        return int(m)
+    raise ValueError(f"unknown rule name: {name!r} (bo2, bo3, or best_of_<m> with odd m >= 3)")
+
+
+def rule_from_name(name: str) -> VotingRule:
+    """The sampling rule named bo3, bo2, or best_of_<m>."""
+    m = _draws(name)
+    if name == "bo3":
+        return make_rule_bo3()
+    if name == "bo2":
+        return make_rule_bo2()
+    return make_rule_best_of((m - 1) // 2)
+
+
 @dataclass
 class OpinionState:
     """Vertices holding opinion 1 as a boolean mask, with per-community counts."""
@@ -190,12 +213,6 @@ def state_from_member(member: np.ndarray) -> OpinionState:
     )
 
 
-def state_from_sets(n: int, opinion_one) -> OpinionState:
-    member = np.zeros(2 * n, dtype=bool)
-    member[np.asarray(list(opinion_one), dtype=np.int64)] = True
-    return state_from_member(member)
-
-
 def fractions(s: OpinionState) -> tuple[float, float]:
     return s.count1 / s.n, s.count2 / s.n
 
@@ -204,23 +221,22 @@ def to_delta(a1: float, a2: float) -> tuple[float, float]:
     return a1 - a2, a1 + a2 - 1.0
 
 
+def to_alpha(d1, d2):
+    """Inverse of to_delta with no range check; scalars or arrays."""
+    return (1.0 + d2 + d1) / 2.0, (1.0 + d2 - d1) / 2.0
+
+
 def from_delta(d1: float, d2: float) -> tuple[float, float]:
     if abs(d1) + abs(d2) > 1.0 + 1e-12:
         raise ValueError("point outside |d1|+|d2| <= 1")
-    return (1.0 + d2 + d1) / 2.0, (1.0 + d2 - d1) / 2.0
+    return to_alpha(d1, d2)
 
 
 def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarray:
     """Exact per-vertex probability of holding opinion 1 after one step."""
     deg = g.degrees
     has_isolated = np.count_nonzero(deg) < deg.size
-    # neighbors holding opinion 1, one reduceat over the vote array. A
-    # trailing zero gives a degree-0 last vertex a valid start index; a
-    # degree-0 vertex reads one stray vote, which the override below discards.
-    votes = np.zeros(g.neighbors.size + 1, dtype=bool)
-    votes[:-1] = s.member[g.neighbors]
-    deg_a = np.add.reduceat(votes.view(np.uint8), g.offsets[:-1], dtype=np.int32)
-    x = deg_a / (np.maximum(deg, 1) if has_isolated else deg)
+    x = g.count_in(s.member) / (np.maximum(deg, 1) if has_isolated else deg)
     prob = _horner(rule._horner[0], x)
     if len(rule._horner) == 2:
         np.copyto(prob, _horner(rule._horner[1], x), where=~s.member)
@@ -237,23 +253,11 @@ def step_probability(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random
     return state_from_member(u < prob)
 
 
-def _sampler_draws(sampler: str) -> int:
-    if sampler == "bo2":
-        return 2
-    if sampler == "bo3":
-        return 3
-    if sampler.startswith("best_of_"):
-        m = int(sampler.rsplit("_", 1)[1])
-        if m % 2 == 1:
-            return m
-    raise ValueError(f"unknown sampler tag: {sampler!r}")
-
-
 def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) -> OpinionState:
     """One synchronous step by sampling neighbors with replacement."""
     if rule.sampler is None:
         raise ValueError("rule has no sampler tag; use step_probability")
-    m = _sampler_draws(rule.sampler)
+    m = _draws(rule.sampler)
     nv = g.num_vertices
     deg = g.degrees
     safe = np.maximum(deg, 1)
@@ -288,8 +292,7 @@ def step(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) 
 class Trajectory:
     """Per-step opinion fractions and the terminal status of a run.
 
-    records holds (t, alpha1, alpha2) for every visited state when recording
-    was requested (always at least the initial and final states otherwise).
+    records holds (t, alpha1, alpha2) for every visited state.
     """
 
     records: list
@@ -306,12 +309,14 @@ def run_until_consensus(
     rule: VotingRule,
     max_steps: int,
     rng: np.random.Generator,
-    record: bool = False,
+    stop=None,
 ) -> Trajectory:
     """Iterate steps until the opinion-1 set is empty or everything.
 
-    Returns consensus time (the first such step index) or a timeout after
-    max_steps steps. Timeouts are results, not errors.
+    Each visited state is checked in turn against stop(alpha1, alpha2), when
+    given (status "stopped"), consensus (t_cons is the first such step index),
+    and the budget of max_steps steps (status "timeout"). Stops and timeouts
+    are results, not errors.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
@@ -321,17 +326,14 @@ def run_until_consensus(
     t = 0
     while True:
         a1, a2 = fractions(s)
-        if record or t == 0:
-            records.append((t, a1, a2))
+        records.append((t, a1, a2))
         total = s.count1 + s.count2
+        if stop is not None and stop(a1, a2):
+            return Trajectory(records, STATUS_STOPPED, None, None, t, s)
         if total == 0 or total == nv:
-            if not record and t > 0:
-                records.append((t, a1, a2))
             opinion = 1 if total == nv else 2
             return Trajectory(records, STATUS_CONSENSUS, opinion, t, t, s)
         if t == max_steps:
-            if not record and t > 0:
-                records.append((t, a1, a2))
             return Trajectory(records, STATUS_TIMEOUT, None, None, t, s)
         s = step(g, s, rule, rng)
         t += 1
@@ -440,4 +442,4 @@ def write_trajectory_csv(traj: Trajectory, fh) -> None:
     if traj.status == STATUS_CONSENSUS:
         fh.write(f"# status=consensus opinion={traj.final_opinion} t_cons={traj.t_cons}\n")
     else:
-        fh.write(f"# status=timeout steps={traj.steps_run}\n")
+        fh.write(f"# status={traj.status} steps={traj.steps_run}\n")

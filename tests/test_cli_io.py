@@ -232,6 +232,18 @@ def test_sweep_bad_config_field(tmp_path, capsys):
     assert "config.n" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("n", 80.9), ("trials", True), ("max_steps", "60"), ("p", False), ("r_grid", [True, 0.25])],
+)
+def test_sweep_config_values_are_not_coerced(tmp_path, capsys, field, value):
+    cfg = write_config(tmp_path, **{field: value})
+    code = main(["sweep", "--config", str(cfg), "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert f"config.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_flags_override_config(tmp_path):
     cfg = write_config(tmp_path)
     outdir = tmp_path / "out"
@@ -240,6 +252,17 @@ def test_sweep_flags_override_config(tmp_path):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["config"]["trials"] == 3
     assert summary["r_grid"] == [0.25]
+
+
+# --- escape ---
+
+
+def test_escape_rejects_negative_budget(capsys):
+    code = main(["escape", "--model", "bo3", "--n", "50", "--p", "0.3", "--r", "0.05",
+                 "--init", "clustered(0.9,0)", "--kappa", "0.95", "--budget", "-1",
+                 "--trials", "1"])
+    assert code == 2
+    assert "budget must be >= 0" in capsys.readouterr().err
 
 
 # --- goodness ---

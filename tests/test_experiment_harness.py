@@ -8,14 +8,12 @@ import io
 import math
 from dataclasses import replace
 
-import numpy as np
 import pytest
 
 import votedyn as vd
 from votedyn import (
     ExperimentConfig,
     adversarial_families,
-    consensus_time_scaling,
     derive_seed,
     escape_time,
     fixed_point_locations,
@@ -23,7 +21,6 @@ from votedyn import (
     rule_from_name,
     run_trials,
     sink_persistence,
-    step_budget,
     trajectory_deviation,
     u_of_r,
     worst_case_scan,
@@ -65,17 +62,6 @@ def test_derive_seed_sensitivity():
     assert derive_seed(1, "y", 0) != base
     assert derive_seed(1, "x", 1) != base
     assert derive_seed(1, "x") != base
-
-
-def test_step_budget():
-    n, p, c = 1000, 0.3, 15.0
-    want = math.ceil(c * (math.log(math.log(n)) + math.log(n) / math.log(n * p)))
-    assert step_budget(n, p, c) == want
-    assert step_budget(n, p, 30.0) >= step_budget(n, p, 15.0)
-    with pytest.raises(ValueError):
-        step_budget(2, 0.5, 10.0)
-    with pytest.raises(ValueError):
-        step_budget(100, 0.005, 10.0)
 
 
 def test_rule_from_name():
@@ -128,8 +114,10 @@ def test_run_trials_workers_byte_identical():
 
 
 def test_run_trials_shared_graph():
-    recs = run_trials(small_cfg(shared_graph=True), "exp1")
+    cfg = small_cfg(shared_graph=True)
+    recs = run_trials(cfg, "exp1")
     assert len(recs) == 4 and all(not r.timeout for r in recs)
+    assert run_trials(replace(cfg, workers=2), "exp1") == recs
 
 
 def test_run_trials_accepts_parsed_and_string_inits():
@@ -233,14 +221,6 @@ def test_worst_case_scan():
     stats = rep["families"]["exact_counts(120,120)"]
     assert stats["max_t_cons"] == 0 and stats["consensus_fraction"] == 1.0
     assert rep["max_t_cons"] == max(s["max_t_cons"] for s in rep["families"].values())
-
-
-def test_consensus_time_scaling():
-    cfg = small_cfg(r=0.25, trials=2, master_seed=5)
-    rep = consensus_time_scaling(cfg, [60, 120])
-    assert rep["status"] == "ok"
-    assert set(rep["medians"]) == {60, 120}
-    assert np.isfinite(rep["slope"]) and np.isfinite(rep["intercept"])
 
 
 # --- results CSV ---

@@ -272,6 +272,14 @@ def test_report_json_roundtrip():
     assert parsed["location"] == pytest.approx([0.9682458365518543, 0.0])
 
 
+def test_report_json_one_schema():
+    # bo3 at u=0.5 has no d2* or d3*; their entries still carry every key
+    docs = [rep.to_json_dict() for rep in analyze("bo3", 0.5)]
+    assert [d["exists"] for d in docs] == [True, False, False, True]
+    assert all(d.keys() == docs[0].keys() for d in docs)
+    assert docs[1]["residual"] is None and docs[0]["residual"] is not None
+
+
 # --- competitive structure ---
 
 

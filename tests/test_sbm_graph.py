@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 import math
 
@@ -12,8 +13,6 @@ from hypothesis import strategies as st
 
 from votedyn import (
     Graph,
-    connectivity_report,
-    deg_in_set,
     degree_stats,
     generate_sbm,
     graph_from_edges,
@@ -82,8 +81,7 @@ def test_extreme_probabilities():
     g = generate_sbm(6, 1.0, 0.0, seed=0)
     # two intra cliques, no cross edges
     assert g.num_edges == 2 * math.comb(6, 2)
-    rep = connectivity_report(g)
-    assert not rep["connected"]
+    assert all((a < 6) == (b < 6) for a, b in edge_set(g))
 
 
 def test_edge_counts_track_expectation():
@@ -214,26 +212,26 @@ def test_degree_normalized_dev_is_small_at_scale():
 
 
 def test_deg_in_set_matches_brute_force():
-    g = generate_sbm(30, 0.3, 0.15, seed=2)
+    # Graph.count_in against a per-vertex count, with isolated vertices in the
+    # middle and at the end, and on a graph with no edges
+    base = generate_sbm(30, 0.3, 0.15, seed=2)
+    cut = {13, 59}
+    edges = [(a, b) for a, b in edge_set(base) if a not in cut and b not in cut]
+    graphs = [base, graph_from_edges(30, edges), graph_from_edges(3, [])]
+    assert np.flatnonzero(graphs[1].degrees == 0).tolist() == [13, 59]
     rng = np.random.default_rng(0)
-    mask = np.zeros(60, dtype=bool)
-    mask[rng.choice(60, size=20, replace=False)] = True
-    for v in (0, 13, 59):
-        row = g.neighbors[g.offsets[v] : g.offsets[v + 1]]
-        expect = sum(1 for w in row if mask[int(w)])
-        assert deg_in_set(g, v, mask) == expect
+    for g in graphs:
+        nv = g.num_vertices
+        for mask in (np.zeros(nv, dtype=bool), np.ones(nv, dtype=bool), rng.random(nv) < 0.3):
+            expect = [sum(1 for w in g.neighbors_of(v) if mask[int(w)]) for v in range(nv)]
+            assert g.count_in(mask).tolist() == expect
 
 
-def test_connectivity_report_flags():
-    # SBM at these densities is connected and has odd cycles
-    g = generate_sbm(80, 0.3, 0.1, seed=1)
-    rep = connectivity_report(g)
-    assert rep == {"connected": True, "bipartite": False}
-    # a path on 4 vertices is connected and bipartite
-    path = graph_from_edges(2, [(0, 1), (1, 2), (2, 3)])
-    assert connectivity_report(path) == {"connected": True, "bipartite": True}
-    # no edges: disconnected (and vacuously bipartite)
-    empty = graph_from_edges(2, [])
-    rep = connectivity_report(empty)
-    assert not rep["connected"]
-    assert rep["bipartite"]
+def test_graph_is_frozen():
+    g = generate_sbm(5, 0.5, 0.2, seed=1)
+    assert g.degrees.tolist() == np.diff(g.offsets).tolist()
+    for name, value in (("n", 6), ("degrees", g.degrees.copy()), ("seed", 2)):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(g, name, value)
+    with pytest.raises(ValueError):
+        g.degrees[0] = 0  # read-only

@@ -27,7 +27,6 @@ from votedyn import (
     parse_init_family,
     run_until_consensus,
     state_from_member,
-    state_from_sets,
     step,
     step_probabilities,
     to_delta,
@@ -102,8 +101,6 @@ def test_state_constructors_count_communities():
     assert (s.count1, s.count2) == (2, 1)
     assert s.n == 3
     assert fractions(s) == (2 / 3, 1 / 3)
-    s2 = state_from_sets(3, [0, 2, 3])
-    assert np.array_equal(s2.member, member)
 
 
 @given(
@@ -163,7 +160,7 @@ def test_step_probabilities_equal_exhaustive_sampling_on_4_vertex_graphs(sampler
 def test_step_probabilities_on_a_hand_checked_graph():
     # path 0-1-2-3 with opinion set {1,2}: x = (1, 1/2, 1/2, 1)
     g = graph_from_edges(2, [(0, 1), (1, 2), (2, 3)])
-    s = state_from_sets(2, [1, 2])
+    s = state_from_member(np.array([False, True, True, False]))
     rule = make_rule_bo3()
     f = rule.f1
     assert step_probabilities(g, s, rule) == pytest.approx(
@@ -199,8 +196,8 @@ def test_step_stream_layout_is_state_independent():
     # the rng must advance identically for any opinion state, so per-trial
     # streams stay aligned whatever trajectory is realized
     g = graph_from_edges(3, [(0, 1), (2, 3)])  # vertices 4,5 isolated
-    s_a = state_from_sets(3, [0, 4])
-    s_b = state_from_sets(3, [1, 2, 3])
+    s_a = state_from_member(np.isin(np.arange(6), [0, 4]))
+    s_b = state_from_member(np.isin(np.arange(6), [1, 2, 3]))
     for rule in (make_rule_bo3(), make_rule_bo2()):
         r1 = np.random.default_rng(9)
         r2 = np.random.default_rng(9)
@@ -311,15 +308,37 @@ def test_run_until_consensus_timeout_is_a_result():
 def test_run_until_consensus_records_every_step_when_asked():
     g = generate_sbm(50, 0.3, 0.05, seed=3)
     s = make_initial(g, vd.biased_global(0.3), np.random.default_rng(1))
-    traj = run_until_consensus(g, s, make_rule_bo3(), 200, np.random.default_rng(2), record=True)
+    traj = run_until_consensus(g, s, make_rule_bo3(), 200, np.random.default_rng(2))
     assert traj.status == vd.STATUS_CONSENSUS
     assert len(traj.records) == traj.t_cons + 1
     ts = [row[0] for row in traj.records]
     assert ts == list(range(traj.t_cons + 1))
-    # endpoints only without record
-    traj2 = run_until_consensus(g, s, make_rule_bo3(), 200, np.random.default_rng(2))
-    assert traj2.t_cons == traj.t_cons
-    assert len(traj2.records) == 2
+
+
+def test_run_until_consensus_stop_predicate():
+    g = generate_sbm(50, 0.3, 0.05, seed=3)
+    s = make_initial(g, vd.biased_global(0.3), np.random.default_rng(1))
+    rule = make_rule_bo3()
+    full = run_until_consensus(g, s, rule, 200, np.random.default_rng(2))
+    assert full.t_cons >= 2
+    # at t=0
+    traj = run_until_consensus(g, s, rule, 200, np.random.default_rng(2), stop=lambda a1, a2: True)
+    assert traj.status == vd.STATUS_STOPPED
+    assert (traj.steps_run, traj.t_cons, traj.final_opinion) == (0, None, None)
+    assert traj.records == full.records[:1]
+    # mid-run: the first state with alpha1 above the one after t=0
+    bar = full.records[1][1]
+    traj = run_until_consensus(
+        g, s, rule, 200, np.random.default_rng(2), stop=lambda a1, a2: a1 > bar
+    )
+    want = next(t for t, a1, _a2 in full.records if a1 > bar)
+    assert want > 1
+    assert traj.status == vd.STATUS_STOPPED and traj.steps_run == want
+    assert traj.records == full.records[: want + 1]
+    # stop is checked before consensus, and a consensus state can stop a run
+    ones = state_from_member(np.ones(100, dtype=bool))
+    traj = run_until_consensus(g, ones, rule, 10, np.random.default_rng(0), stop=lambda a1, a2: a1 == 1.0)
+    assert traj.status == vd.STATUS_STOPPED and traj.t_cons is None
 
 
 # --- initial conditions ---
@@ -389,7 +408,7 @@ def test_parse_init_family_round_trips_and_rejects():
 def test_trajectory_csv_format():
     g = generate_sbm(40, 0.3, 0.05, seed=6)
     s = make_initial(g, vd.biased_global(0.3), np.random.default_rng(2))
-    traj = run_until_consensus(g, s, make_rule_bo3(), 100, np.random.default_rng(3), record=True)
+    traj = run_until_consensus(g, s, make_rule_bo3(), 100, np.random.default_rng(3))
     buf = io.StringIO()
     write_trajectory_csv(traj, buf)
     lines = buf.getvalue().splitlines()
