@@ -116,21 +116,8 @@ def _experiment_config(
 
 
 def _records_json(records) -> list[dict]:
-    out = []
-    for rec in records:
-        out.append(
-            {
-                "trial": rec.trial,
-                "seed": rec.seed,
-                "t_cons": rec.t_cons,
-                "timeout": rec.timeout,
-                "final_opinion": rec.final_opinion,
-                "peak_abs_delta2": rec.peak_abs_delta2,
-                "tau_kappa": rec.tau_kappa,
-                "escaped_at": rec.escaped_at,
-            }
-        )
-    return out
+    # TrialRecord's field order is the JSON key order
+    return [{key: value for key, value in vars(rec).items() if key != "alphas"} for rec in records]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -151,14 +138,14 @@ def cmd_generate(args) -> int:
 
 
 def _graph_from_args(args, master_seed: int) -> sbm_graph.Graph:
-    if getattr(args, "graph", None):
+    if args.graph:
         with open(args.graph) as fh:
             return sbm_graph.load_graph(fh)
     if args.n is None or args.p is None:
         raise ValueError("need --graph or inline --n/--p parameters")
-    if getattr(args, "q", None) is not None:
+    if args.q is not None:
         q = args.q
-    elif getattr(args, "r", None) is not None:
+    elif args.r is not None:
         q = args.r * args.p
     else:
         raise ValueError("need --q or --r with inline graph parameters")
@@ -292,11 +279,12 @@ def cmd_worst_case(args) -> int:
     cfg_file = load_config(args.config)
     cfg = _experiment_config(args, cfg_file, default_init="half_half", default_steps=500)
     report = eh.worst_case_scan(cfg)
-    records = report.pop("records")
+    blocks = report.pop("records")
     report["config"] = _config_echo(cfg)
     if args.csv:
         with open(args.csv, "w") as fh:
-            eh.write_results_csv(cfg, records, fh)
+            for k, (family, records) in enumerate(blocks):
+                eh.write_results_csv(replace(cfg, init=family), records, fh, header=(k == 0))
     _emit(args.output, json.dumps(report, indent=2) + "\n")
     return 0
 
@@ -431,13 +419,12 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("-o", "--output", required=True)
     gen.set_defaults(func=cmd_generate)
 
-    def graph_source(p, with_r=True):
+    def graph_source(p):
         p.add_argument("--graph", default=None, help="edge-list file produced by generate")
         p.add_argument("--n", type=int, default=None)
         p.add_argument("--p", type=float, default=None)
         p.add_argument("--q", type=float, default=None)
-        if with_r:
-            p.add_argument("--r", type=float, default=None, help="cross ratio q/p (alternative to --q)")
+        p.add_argument("--r", type=float, default=None, help="cross ratio q/p (alternative to --q)")
         p.add_argument("--graph-seed", type=int, default=None)
 
     sim = sub.add_parser("simulate", help="run one voting process, write a trajectory CSV")
@@ -464,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument("-o", "--output", default="-")
     vf.set_defaults(func=cmd_vector_field)
 
-    def experiment_flags(p, seed=True):
+    def experiment_flags(p):
         p.add_argument("--config", default=None, help="JSON file; flags override its values")
         p.add_argument("--model", default=None)
         p.add_argument("--n", type=int, default=None)
@@ -473,8 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--init", default=None)
         p.add_argument("--trials", type=int, default=None)
         p.add_argument("--max-steps", dest="max_steps", type=int, default=None)
-        if seed:
-            p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--seed", type=int, default=None)
         p.add_argument("--shared-graph", dest="shared_graph", action="store_const", const=True, default=None)
         p.add_argument("--workers", type=int, default=None)
 

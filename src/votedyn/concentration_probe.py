@@ -18,16 +18,14 @@ structured families and report empirical constants. Logs are natural.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 import math
 
 import numpy as np
 
 from .sbm_graph import Graph
-from .voting_core import OpinionState, VotingRule, step_probabilities
+from .voting_core import VotingRule, state_from_member, step_probabilities
 
 __all__ = [
-    "WStatReport",
     "w_stat",
     "w_hat",
     "w_concentration_scan",
@@ -79,13 +77,6 @@ def w_hat(n: int, p: float, q: float, s0, sets) -> float:
     return float(prod[_as_mask(nv, s0)].sum())
 
 
-@dataclass
-class WStatReport:
-    l: int
-    samples: int
-    max_normalized_dev: float
-
-
 def _mask_pool(g: Graph, rng: np.random.Generator) -> list[np.ndarray]:
     nv = g.num_vertices
     small = max(1, math.isqrt(nv))
@@ -98,7 +89,7 @@ def _mask_pool(g: Graph, rng: np.random.Generator) -> list[np.ndarray]:
     return [np.ones(nv, dtype=bool), v1, ~v1, front, rand_small]
 
 
-def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generator) -> WStatReport:
+def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generator) -> float:
     """Max normalized |W - W_hat| over sampled tuples. The first two samples
     are the fully structured tuples (V; V,..) and (V1; V2,..); later slots mix
     pool picks (whole graph, communities, small sets) with uniform subsets."""
@@ -124,7 +115,7 @@ def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generato
             s0, sets = draw(), [draw() for _ in range(l)]
         dev = abs(w_stat(g, s0, sets) - w_hat(g.n, g.p, g.q, s0, sets)) / norm
         worst = max(worst, dev)
-    return WStatReport(l=l, samples=samples, max_normalized_dev=worst)
+    return float(worst)
 
 
 def _ratio_profile(g: Graph, a_mask: np.ndarray):
@@ -242,15 +233,13 @@ def goodness_report(
     samples: int,
     rng: np.random.Generator,
     w_orders=(1, 2, 3),
-    n_states: int = 20,
     p3_sizes=None,
 ) -> dict:
-    """Run every probe on one graph and collect the empirical constants."""
-    from .voting_core import state_from_member
-
+    """Run every probe on one graph and collect the empirical constants;
+    the variance probe uses 20 random states."""
     states = [
         state_from_member(rng.random(g.num_vertices) < rng.uniform(0.05, 0.95))
-        for _ in range(n_states)
+        for _ in range(20)
     ]
     report = {
         "rule": rule.name,
@@ -262,7 +251,7 @@ def goodness_report(
         "p3_max": p3_scan(g, rule, samples, rng, sizes=p3_sizes),
         "variance_max_dev": variance_profile(g, rule, states),
         "w_max_normalized_dev": {
-            str(l): w_concentration_scan(g, l, samples, rng).max_normalized_dev
+            str(l): w_concentration_scan(g, l, samples, rng)
             for l in w_orders
         },
     }

@@ -136,13 +136,11 @@ def run_trials(
     cfg: ExperimentConfig,
     exp_id: str,
     mode: str = "consensus",
-    init: vc.InitFamily | None = None,
     mode_params: dict | None = None,
-    max_steps: int | None = None,
 ) -> list[TrialRecord]:
     """Execute cfg.trials independent trials of one experiment, sorted by
     trial index. Worker count never changes the records."""
-    family = init if init is not None else cfg.init
+    family = cfg.init
     if family is None:
         raise ValueError("no init family configured")
     if isinstance(family, str):
@@ -166,7 +164,7 @@ def run_trials(
             "init": family,
             "trial": trial,
             "mode": mode,
-            "max_steps": cfg.max_steps if max_steps is None else max_steps,
+            "max_steps": cfg.max_steps,
         }
         task.update(mode_params or {})
         tasks.append(task)
@@ -224,7 +222,7 @@ def sink_persistence(cfg: ExperimentConfig, epsilon: float = 0.1) -> dict:
     init = vc.clustered(center[0], center[1])
     exp_id = f"sink:r={cfg.r:.9g}:eps={epsilon:.9g}"
     records = run_trials(
-        cfg, exp_id, mode="sink", init=init,
+        replace(cfg, init=init), exp_id, mode="sink",
         mode_params={"center": center, "epsilon": epsilon},
     )
     escapes = sum(1 for rec in records if rec.escaped_at is not None)
@@ -248,11 +246,11 @@ def trajectory_deviation(cfg: ExperimentConfig, t_max: int) -> dict:
     if not 0 <= t_max <= 50:
         raise ValueError("t_max must lie in [0, 50]")
     exp_id = f"deviation:t={t_max}"
-    records = run_trials(cfg, exp_id, mode="deviation", max_steps=t_max)
+    records = run_trials(replace(cfg, max_steps=t_max), exp_id, mode="deviation")
     m = idyn.induced_map(vc.rule_from_name(cfg.model), cfg.r, space="alpha")
     per_step = np.zeros((len(records), t_max + 1))
     for k, rec in enumerate(records):
-        orbit = idyn.iterate(m, rec.alphas[0], t_max).points
+        orbit = idyn.iterate(m, rec.alphas[0], t_max)
         for t, (a1, a2) in enumerate(rec.alphas):
             per_step[k, t] = max(abs(a1 - orbit[t, 0]), abs(a2 - orbit[t, 1]))
     bound = 1.0 / math.sqrt(cfg.n * cfg.p) + math.sqrt(math.log(cfg.n) / cfg.n)
@@ -280,7 +278,7 @@ def escape_time(cfg: ExperimentConfig, kappa: float, budget: int) -> dict:
         raise ValueError(f"budget must be >= 0, got {budget}")
     exp_id = f"escape:kappa={kappa:.9g}"
     records = run_trials(
-        cfg, exp_id, mode="escape", mode_params={"kappa": kappa}, max_steps=budget
+        replace(cfg, max_steps=budget), exp_id, mode="escape", mode_params={"kappa": kappa}
     )
     taus = [rec.tau_kappa for rec in records]
     reached = [t for t in taus if t is not None]
@@ -322,16 +320,15 @@ def adversarial_families(model: str, u: float, n: int) -> list[vc.InitFamily]:
     return families
 
 
-def worst_case_scan(cfg: ExperimentConfig, families=None) -> dict:
-    """Consensus statistics across the adversarial family list."""
-    if families is None:
-        families = adversarial_families(cfg.model, cfg.u, cfg.n)
-    per_family = {}
-    all_records = []
-    for family in families:
-        records = run_trials(cfg, f"worst:{family}", init=family)
-        per_family[str(family)] = _consensus_stats(records)
-        all_records.extend(records)
+def worst_case_scan(cfg: ExperimentConfig) -> dict:
+    """Consensus statistics across the adversarial family list. records holds
+    one (family, records) pair per family, in family order."""
+    families = adversarial_families(cfg.model, cfg.u, cfg.n)
+    blocks = [
+        (family, run_trials(replace(cfg, init=family), f"worst:{family}")) for family in families
+    ]
+    per_family = {str(family): _consensus_stats(records) for family, records in blocks}
+    all_records = [rec for _family, records in blocks for rec in records]
     times = [rec.t_cons for rec in all_records if rec.t_cons is not None]
     return {
         "model": cfg.model,
@@ -341,23 +338,16 @@ def worst_case_scan(cfg: ExperimentConfig, families=None) -> dict:
         "total_trials": len(all_records),
         "all_consensus": len(times) == len(all_records),
         "max_t_cons": max(times) if times else None,
-        "records": all_records,
+        "records": blocks,
     }
 
 
-def write_results_csv(
-    cfg: ExperimentConfig,
-    records,
-    fh,
-    init: vc.InitFamily | None = None,
-    header: bool = True,
-) -> None:
+def write_results_csv(cfg: ExperimentConfig, records, fh, header: bool = True) -> None:
     """One row per trial in the stable column order; blank fields where a
     value does not apply (t_cons on timeout, final_opinion without consensus).
     Set header=False to append another block to an open file."""
     if header:
         fh.write(RESULTS_HEADER + "\n")
-    family = init if init is not None else cfg.init
     writer = csv.writer(fh, lineterminator="\n")
     for rec in records:
         t_cons = "" if rec.t_cons is None else str(rec.t_cons)
@@ -369,7 +359,7 @@ def write_results_csv(
                 f"{cfg.p:.9g}",
                 f"{cfg.q:.9g}",
                 f"{cfg.r:.9g}",
-                str(family),
+                str(cfg.init),
                 str(rec.trial),
                 str(rec.seed),
                 t_cons,

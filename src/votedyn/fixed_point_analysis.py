@@ -66,21 +66,12 @@ class Matrix2:
     j22: float
 
     @property
-    def array(self) -> np.ndarray:
-        return np.array([[self.j11, self.j12], [self.j21, self.j22]])
-
-    @property
     def trace(self) -> float:
         return self.j11 + self.j22
 
     @property
     def det(self) -> float:
         return self.j11 * self.j22 - self.j12 * self.j21
-
-    @classmethod
-    def from_array(cls, a) -> "Matrix2":
-        a = np.asarray(a, dtype=np.float64)
-        return cls(float(a[0, 0]), float(a[0, 1]), float(a[1, 0]), float(a[1, 1]))
 
 
 def _sqrt_clamped(x: float) -> float:
@@ -129,16 +120,19 @@ def fixed_points_bo2(u: float) -> dict[str, tuple[float, float]]:
     return pts
 
 
+def _check_closed_form(model: str) -> None:
+    if model not in MODELS:
+        raise ValueError(f"no closed form for model {model!r}: the closed forms exist for bo3 and bo2 only")
+
+
 def fixed_point_locations(model: str, u: float) -> dict[str, tuple[float, float]]:
-    if model == "bo3":
-        return fixed_points_bo3(u)
-    if model == "bo2":
-        return fixed_points_bo2(u)
-    raise ValueError(f"unknown model: {model!r}")
+    _check_closed_form(model)
+    return fixed_points_bo3(u) if model == "bo3" else fixed_points_bo2(u)
 
 
 def _jac_entries(model: str, u: float, d1, d2):
     """General-form Jacobian entries; d1/d2 may be arrays."""
+    _check_closed_form(model)
     d1 = np.asarray(d1, dtype=np.float64)
     d2 = np.asarray(d2, dtype=np.float64)
     if model == "bo3":
@@ -147,13 +141,11 @@ def _jac_entries(model: str, u: float, d1, d2):
         j12 = -3.0 * u * d1 * d2
         j21 = -3.0 * u * u * d1 * d2
         j22 = 1.5 * core
-    elif model == "bo2":
+    else:
         j11 = 0.5 * (2.0 * u + 1.0 - 3.0 * (u * d1) ** 2 - (2.0 * u + 1.0) * d2**2)
         j12 = -(2.0 * u + 1.0) * d1 * d2
         j21 = -u * (u + 2.0) * d1 * d2
         j22 = 0.5 * (3.0 - u * (2.0 + u) * d1**2 - 3.0 * d2**2)
-    else:
-        raise ValueError(f"unknown model: {model!r}")
     return j11, j12, j21, j22
 
 
@@ -162,10 +154,10 @@ def jacobian_analytic(model: str, u: float, d) -> Matrix2:
     return Matrix2(float(j11), float(j12), float(j21), float(j22))
 
 
-def jacobian_numeric(m: idyn.InducedMap, d, h: float = 1e-6) -> Matrix2:
-    """Central-difference Jacobian of the map at d, in the map's own space."""
-    if h <= 0:
-        raise ValueError("h must be > 0")
+def jacobian_numeric(m: idyn.InducedMap, d) -> Matrix2:
+    """Central-difference Jacobian of the map at d, in the map's own space,
+    with step 1e-6."""
+    h = 1e-6
     x, y = float(d[0]), float(d[1])
     fx_p = m.eval((x + h, y))
     fx_m = m.eval((x - h, y))
@@ -351,8 +343,7 @@ def threshold_r(model: str) -> ThresholdResult:
     Raises if the numeric crossing disagrees with the closed-form value
     beyond 1e-9.
     """
-    if model not in MODELS:
-        raise ValueError(f"unknown model: {model!r}")
+    _check_closed_form(model)
 
     def excess(u: float) -> float:
         loc = fixed_point_locations(model, u)["d2*"]

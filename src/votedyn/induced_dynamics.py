@@ -12,7 +12,7 @@ bo3 and bo2 rules. eval_T_generic always goes through the alpha-space route so
 the closed forms stay an independent cross-check.
 
 The triangle S = {d1, d2 >= 0, d1 + d2 <= 1} is forward-invariant for both
-built-in rules; check_S_closed probes that numerically.
+built-in rules.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .voting_core import VotingRule, to_alpha, to_delta
 
 __all__ = [
     "InducedMap",
-    "Orbit",
     "induced_map",
     "u_of_r",
     "r_of_u",
@@ -34,13 +33,7 @@ __all__ = [
     "eval_T_bo2",
     "eval_T_generic",
     "iterate",
-    "orbit_limit",
-    "check_S_closed",
-    "write_orbit_csv",
 ]
-
-NO_CONVERGENCE = "no_convergence"
-UNMATCHED = "unmatched"
 
 
 def u_of_r(r: float) -> float:
@@ -59,15 +52,13 @@ def r_of_u(u: float) -> float:
 class InducedMap:
     """Deterministic one-step expectation map for a rule at cross ratio r.
 
-    space selects the coordinates eval works in ("alpha" or "delta"); model
-    is "bo3"/"bo2" when delta-space closed forms exist, else "generic".
+    space selects the coordinates eval works in ("alpha" or "delta").
     """
 
     rule: VotingRule
     r: float
     u: float
     space: str
-    model: str
 
     def eval(self, x):
         x1, x2 = x[0], x[1]
@@ -79,9 +70,7 @@ class InducedMap:
 def induced_map(rule: VotingRule, r: float, space: str = "delta") -> InducedMap:
     if space not in ("alpha", "delta"):
         raise ValueError("space must be 'alpha' or 'delta'")
-    u = u_of_r(r)
-    model = rule.name if rule.name in ("bo3", "bo2") else "generic"
-    return InducedMap(rule=rule, r=r, u=u, space=space, model=model)
+    return InducedMap(rule=rule, r=r, u=u_of_r(r), space=space)
 
 
 def eval_H(m: InducedMap, a):
@@ -127,89 +116,12 @@ def eval_T_generic(m: InducedMap, d):
     return to_delta(*eval_H(m, a))
 
 
-@dataclass
-class Orbit:
-    """Iterates of an induced map: points[k] is the k-th image of points[0]."""
-
-    points: np.ndarray
-    converged_to: str | None
-    iterations: int
-
-
-def iterate(m: InducedMap, x0, t: int) -> Orbit:
+def iterate(m: InducedMap, x0, t: int) -> np.ndarray:
+    """Orbit of x0 under m as a (t+1, 2) array: row k is the k-th image."""
     if t < 0:
         raise ValueError("t must be >= 0")
     pts = np.empty((t + 1, 2), dtype=np.float64)
     pts[0] = (x0[0], x0[1])
     for k in range(t):
         pts[k + 1] = m.eval(pts[k])
-    return Orbit(points=pts, converged_to=None, iterations=t)
-
-
-def orbit_limit(
-    m: InducedMap,
-    x0,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-):
-    """Iterate until successive points differ by < tol in the sup norm.
-
-    Returns (result, final_point, iterations). For bo3/bo2 maps in delta
-    space the componentwise absolute value of the final point is matched
-    against the closed-form fixed points within 100*tol and result is that
-    fixed point's id; a converged orbit with no match (or a generic rule)
-    reports "unmatched", and hitting max_iter reports "no_convergence".
-    """
-    if tol <= 0:
-        raise ValueError("tol must be > 0")
-    x = np.array((x0[0], x0[1]), dtype=np.float64)
-    for k in range(1, int(max_iter) + 1):
-        nxt = np.array(m.eval(x), dtype=np.float64)
-        if np.max(np.abs(nxt - x)) < tol:
-            return _match_fixed_point(m, nxt, 100.0 * tol), nxt, k
-        x = nxt
-    return NO_CONVERGENCE, x, int(max_iter)
-
-
-def _match_fixed_point(m: InducedMap, point: np.ndarray, radius: float) -> str:
-    if m.space != "delta" or m.model not in ("bo3", "bo2"):
-        return UNMATCHED
-    from . import fixed_point_analysis as fpa
-
-    table = fpa.fixed_point_locations(m.model, m.u)
-    mag = np.abs(point)
-    for fp_id, loc in table.items():
-        if max(abs(mag[0] - loc[0]), abs(mag[1] - loc[1])) <= radius:
-            return fp_id
-    return UNMATCHED
-
-
-def check_S_closed(m: InducedMap, samples: int, rng: np.random.Generator) -> dict:
-    """Sample S uniformly (corners always included), map once in delta space,
-    and report the largest excursion outside S. Slack for a pass is 1e-12."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    a = rng.random(samples)
-    b = rng.random(samples)
-    flip = a + b > 1.0
-    a[flip], b[flip] = 1.0 - a[flip], 1.0 - b[flip]
-    d1 = np.concatenate(([0.0, 1.0, 0.0], a))
-    d2 = np.concatenate(([0.0, 0.0, 1.0], b))
-    t1, t2 = eval_T_generic(m, (d1, d2))
-    violation = np.maximum.reduce([-t1, -t2, t1 + t2 - 1.0])
-    worst = float(np.max(violation))
-    worst = max(worst, 0.0)
-    idx = int(np.argmax(violation))
-    return {
-        "samples": int(d1.size),
-        "max_violation": worst,
-        "worst_point": (float(d1[idx]), float(d2[idx])),
-        "passed": worst <= 1e-12,
-    }
-
-
-def write_orbit_csv(orbit: Orbit, m: InducedMap, fh) -> None:
-    fh.write(f"# space={m.space} model={m.model} u={m.u:.9g}\n")
-    fh.write("t,x1,x2\n")
-    for t, (x1, x2) in enumerate(orbit.points):
-        fh.write(f"{t},{x1:.9g},{x2:.9g}\n")
+    return pts

@@ -73,9 +73,6 @@ class Graph:
     def num_edges(self) -> int:
         return int(self.neighbors.size) // 2
 
-    def neighbors_of(self, v: int) -> np.ndarray:
-        return self.neighbors[self.offsets[v] : self.offsets[v + 1]]
-
     def count_in(self, mask: np.ndarray) -> np.ndarray:
         """Each vertex's number of neighbors inside a boolean vertex mask."""
         # one reduceat over the vote array; the trailing zero gives a degree-0
@@ -155,14 +152,14 @@ def _build_graph(n: int, src_u: np.ndarray, src_v: np.ndarray, p: float, q: floa
     return Graph(n=n, offsets=offsets, neighbors=dst.astype(np.int64), p=p, q=q, seed=seed)
 
 
-def generate_sbm(n: int, p: float, q: float, seed: int, method: str = "auto") -> Graph:
+def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     """Sample G(2n, p, q) deterministically from the seed.
 
     Blocks are drawn in a fixed order (community 1 pairs, community 2 pairs,
-    cross pairs) from one Philox stream. `method` selects the sampling path:
-    "dense" draws a uniform per pair, "sparse" uses geometric skipping, and
-    "auto" picks dense for n <= 2000. Both paths sample the same distribution
-    (each path consumes the stream differently, so graphs differ per seed).
+    cross pairs) from one Philox stream. For n <= DENSE_LIMIT each pair draws
+    a uniform; above it the sampler skips geometrically between edges. Both
+    paths sample the same distribution (each consumes the stream differently,
+    so graphs differ per seed).
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -170,11 +167,7 @@ def generate_sbm(n: int, p: float, q: float, seed: int, method: str = "auto") ->
         raise ValueError("q must not exceed p")
     if not (0.0 <= q and p <= 1.0):
         raise ValueError("edge probabilities must satisfy 0 <= q <= p <= 1")
-    if method not in ("auto", "dense", "sparse"):
-        raise ValueError(f"unknown generation method: {method!r}")
-    if method == "auto":
-        method = "dense" if n <= DENSE_LIMIT else "sparse"
-    draw = _pair_indices_dense if method == "dense" else _pair_indices_geometric
+    draw = _pair_indices_dense if n <= DENSE_LIMIT else _pair_indices_geometric
 
     rng = np.random.Generator(np.random.Philox(key=seed))
     m_intra = n * (n - 1) // 2

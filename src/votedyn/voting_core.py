@@ -39,7 +39,6 @@ __all__ = [
     "fractions",
     "to_delta",
     "to_alpha",
-    "from_delta",
     "step_probabilities",
     "step_probability",
     "step_sampling",
@@ -104,11 +103,6 @@ class VotingRule:
     def f2(self, x):
         return npoly.polyval(x, self.f2_coeffs)
 
-    @property
-    def symmetric(self) -> bool:
-        a, b = self.f1_coeffs, self.f2_coeffs
-        return a.shape == b.shape and bool(np.all(a == b))
-
 
 def _horner_coeffs(coeffs: np.ndarray) -> tuple:
     """Python floats, highest degree first. polyval starts from c[-1] + 0*x,
@@ -171,13 +165,14 @@ def make_rule_polynomial(name: str, f1_coeffs, f2_coeffs) -> VotingRule:
 
 def _draws(name: str) -> int:
     """Neighbor samples per vertex of a named sampling rule: bo2, bo3, or
-    best_of_<m> for odd m >= 3. Rule names and sampler tags share this parse."""
+    best_of_<m> for odd m from 3 to 25. Rule names and sampler tags share
+    this parse."""
     if name in ("bo2", "bo3"):
         return int(name[2])
     m = name.removeprefix("best_of_")
-    if m != name and m.isdecimal() and int(m) >= 3 and int(m) % 2 == 1:
+    if m != name and m.isdecimal() and 3 <= int(m) <= 25 and int(m) % 2 == 1:
         return int(m)
-    raise ValueError(f"unknown rule name: {name!r} (bo2, bo3, or best_of_<m> with odd m >= 3)")
+    raise ValueError(f"unknown rule name: {name!r} (bo2, bo3, or best_of_<m> with odd m from 3 to 25)")
 
 
 def rule_from_name(name: str) -> VotingRule:
@@ -224,12 +219,6 @@ def to_delta(a1: float, a2: float) -> tuple[float, float]:
 def to_alpha(d1, d2):
     """Inverse of to_delta with no range check; scalars or arrays."""
     return (1.0 + d2 + d1) / 2.0, (1.0 + d2 - d1) / 2.0
-
-
-def from_delta(d1: float, d2: float) -> tuple[float, float]:
-    if abs(d1) + abs(d2) > 1.0 + 1e-12:
-        raise ValueError("point outside |d1|+|d2| <= 1")
-    return to_alpha(d1, d2)
 
 
 def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarray:
@@ -300,7 +289,6 @@ class Trajectory:
     final_opinion: int | None
     t_cons: int | None
     steps_run: int
-    final_state: OpinionState = field(repr=False, default=None)
 
 
 def run_until_consensus(
@@ -329,12 +317,12 @@ def run_until_consensus(
         records.append((t, a1, a2))
         total = s.count1 + s.count2
         if stop is not None and stop(a1, a2):
-            return Trajectory(records, STATUS_STOPPED, None, None, t, s)
+            return Trajectory(records, STATUS_STOPPED, None, None, t)
         if total == 0 or total == nv:
             opinion = 1 if total == nv else 2
-            return Trajectory(records, STATUS_CONSENSUS, opinion, t, t, s)
+            return Trajectory(records, STATUS_CONSENSUS, opinion, t, t)
         if t == max_steps:
-            return Trajectory(records, STATUS_TIMEOUT, None, None, t, s)
+            return Trajectory(records, STATUS_TIMEOUT, None, None, t)
         s = step(g, s, rule, rng)
         t += 1
 

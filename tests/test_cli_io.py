@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import json
 import xml.etree.ElementTree as ET
 
@@ -98,6 +99,15 @@ def test_simulate_unknown_rule(tmp_path, capsys):
     code = main(["simulate", "--graph", str(g), "--model", "bo9", "--seed", "1"])
     assert code == 2
     assert "unknown rule name" in capsys.readouterr().err
+
+
+def test_simulate_best_of_range(tmp_path, capsys):
+    args = ["simulate", "--n", "10", "--p", "0.4", "--q", "0.1", "--graph-seed", "3",
+            "--max-steps", "5", "--seed", "1"]
+    assert main(args + ["--model", "best_of_27"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown rule name: 'best_of_27'" in err and "odd m from 3 to 25" in err
+    assert main(args + ["--model", "best_of_25", "-o", str(tmp_path / "t.csv")]) == 0
 
 
 def test_simulate_full_set_is_instant_consensus(tmp_path, capsys):
@@ -252,6 +262,31 @@ def test_sweep_flags_override_config(tmp_path):
     summary = json.loads((outdir / "summary.json").read_text())
     assert summary["config"]["trials"] == 3
     assert summary["r_grid"] == [0.25]
+
+
+# --- closed-form commands ---
+
+
+@pytest.mark.parametrize("command", ["worst-case", "sink-persist"])
+def test_model_without_closed_form(command, capsys):
+    code = main([command, "--model", "best_of_5", "--n", "40", "--p", "0.3", "--r", "0.05",
+                 "--trials", "1", "--max-steps", "5"])
+    assert code == 2
+    assert "closed forms exist for bo3 and bo2 only" in capsys.readouterr().err
+
+
+def test_worst_case_csv_one_block_per_family(tmp_path):
+    csv_path, out = tmp_path / "wc.csv", tmp_path / "wc.json"
+    assert main(["worst-case", "--model", "bo3", "--n", "60", "--p", "0.5", "--r", "0.3",
+                 "--trials", "2", "--max-steps", "100", "--seed", "1",
+                 "--csv", str(csv_path), "-o", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == doc["family_count"] * 2
+    assert {row["init"] for row in rows} == set(doc["families"])
+    pairs = [(row["init"], row["trial"]) for row in rows]
+    assert len(set(pairs)) == len(pairs)
 
 
 # --- escape ---

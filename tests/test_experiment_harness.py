@@ -69,7 +69,7 @@ def test_rule_from_name():
     assert rule_from_name("bo2").name == "bo2"
     assert rule_from_name("best_of_5").name == "best_of_5"
     assert rule_from_name("best_of_25").name == "best_of_25"
-    for bad in ("bo7", "best_of_4", "best_of_1", "poly"):
+    for bad in ("bo7", "best_of_4", "best_of_1", "best_of_27", "poly"):
         with pytest.raises(ValueError):
             rule_from_name(bad)
 
@@ -123,9 +123,7 @@ def test_run_trials_shared_graph():
 def test_run_trials_accepts_parsed_and_string_inits():
     cfg = small_cfg()
     via_string = run_trials(cfg, "exp1")
-    via_family = run_trials(
-        replace(cfg, init=None), "exp1", init=vd.biased_global(0.2)
-    )
+    via_family = run_trials(replace(cfg, init=vd.biased_global(0.2)), "exp1")
     assert via_string == via_family
 
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from fractions import Fraction
 
@@ -13,22 +12,17 @@ from hypothesis import strategies as st
 
 import votedyn as vd
 from votedyn import (
-    NO_CONVERGENCE,
-    UNMATCHED,
-    check_S_closed,
     eval_H,
     eval_T_bo2,
     eval_T_bo3,
     eval_T_generic,
+    fixed_point_locations,
     induced_map,
     iterate,
-    make_rule_best_of,
     make_rule_bo2,
     make_rule_bo3,
-    orbit_limit,
     r_of_u,
     u_of_r,
-    write_orbit_csv,
 )
 
 from . import oracles
@@ -153,7 +147,7 @@ def test_bo2_equals_bo3_at_u_one():
             assert _close(eval_T_bo2(1.0, (d1, d2)), eval_T_bo3(1.0, (d1, d2)))
 
 
-# --- conjugation: T = to_delta . H . from_delta ---
+# --- conjugation: T = to_delta . H . to_alpha ---
 
 
 @given(diamond_points, st.floats(0.0, 1.0, allow_nan=False), st.sampled_from(["bo3", "bo2"]))
@@ -182,13 +176,7 @@ def test_conjugation_identity_on_grid():
             assert worst <= 1e-12, (model, u, worst)
 
 
-# --- map construction and tagging ---
-
-
-def test_induced_map_tags():
-    assert induced_map(make_rule_bo3(), 0.2).model == "bo3"
-    assert induced_map(make_rule_bo2(), 0.2).model == "bo2"
-    assert induced_map(make_rule_best_of(2), 0.2).model == "generic"
+# --- map construction ---
 
 
 def test_induced_map_spaces():
@@ -211,14 +199,14 @@ def test_induced_map_validation():
 # --- invariance of the closed quadrant ---
 
 
-def test_check_S_closed_reports():
-    rng = np.random.default_rng(7)
+@given(quadrant_points, st.floats(0.0, 1.0, allow_nan=False))
+@settings(max_examples=150, deadline=None)
+def test_T_generic_preserves_S(d, u):
+    # S = {d1, d2 >= 0, d1 + d2 <= 1} is forward-invariant for both rules
     for rule in (make_rule_bo3(), make_rule_bo2()):
-        for u in (0.1, 0.5, 0.8, 1.0):
-            rep = check_S_closed(induced_map(rule, r_of_u(u)), 200, rng)
-            assert rep["passed"] is True
-            assert rep["max_violation"] <= 0.0
-            assert rep["samples"] >= 200
+        t1, t2 = eval_T_generic(induced_map(rule, r_of_u(u)), d)
+        assert t1 >= -1e-12 and t2 >= -1e-12
+        assert t1 + t2 <= 1.0 + 1e-12
 
 
 @given(diamond_points, st.floats(0.0, 1.0, allow_nan=False))
@@ -234,69 +222,31 @@ def test_T_preserves_diamond(d, u):
 
 def test_iterate_shape_and_start():
     m = induced_map(make_rule_bo3(), 1.0 / 9.0)
-    orb = iterate(m, (0.2, 0.1), 3)
-    assert orb.points.shape == (4, 2)
-    assert _close(orb.points[0], (0.2, 0.1), tol=0.0)
-    assert orb.iterations == 3
-    assert orb.converged_to is None
-    assert _close(orb.points[1], eval_T_bo3(m.u, (0.2, 0.1)))
-    assert iterate(m, (0.2, 0.1), 0).points.shape == (1, 2)
+    pts = iterate(m, (0.2, 0.1), 3)
+    assert pts.shape == (4, 2)
+    assert _close(pts[0], (0.2, 0.1), tol=0.0)
+    assert _close(pts[1], eval_T_bo3(m.u, (0.2, 0.1)))
+    assert iterate(m, (0.2, 0.1), 0).shape == (1, 2)
 
 
 def test_orbit_limit_basins_bo3():
     m = induced_map(make_rule_bo3(), 1.0 / 9.0)  # u = 0.8
-    label, point, _ = orbit_limit(m, (0.5, 0.0))
-    assert label == "d2*"
-    assert point[0] == pytest.approx(0.8838834764831848, abs=1e-8)
-    assert point[1] == pytest.approx(0.0, abs=1e-8)
-    label, point, _ = orbit_limit(m, (-0.5, 0.0))
-    assert label == "d2*"
-    assert point[0] == pytest.approx(-0.8838834764831848, abs=1e-8)
+    d2 = fixed_point_locations("bo3", 0.8)["d2*"]
+    assert d2[0] == pytest.approx(0.8838834764831848, abs=1e-15)
+    assert _close(iterate(m, (0.5, 0.0), 200)[-1], d2, tol=1e-8)
+    assert _close(iterate(m, (-0.5, 0.0), 200)[-1], (-d2[0], d2[1]), tol=1e-8)
     # Below the interior threshold every interior start drifts to consensus.
     m_low = induced_map(make_rule_bo3(), r_of_u(0.5))
-    label, point, _ = orbit_limit(m_low, (0.3, 0.2))
-    assert label == "d4*"
-    assert _close(point, (0.0, 1.0), tol=1e-8)
+    d4 = fixed_point_locations("bo3", 0.5)["d4*"]
+    assert _close(iterate(m_low, (0.3, 0.2), 200)[-1], d4, tol=1e-8)
 
 
 def test_orbit_limit_basins_bo2():
     m = induced_map(make_rule_bo2(), r_of_u(0.7))
-    label, point, _ = orbit_limit(m, (0.5, 0.02))
-    assert label == "d2*"
-    assert point[0] == pytest.approx(math.sqrt(0.4) / 0.7, abs=1e-8)
-    label, point, its = orbit_limit(induced_map(make_rule_bo2(), r_of_u(0.4)), (0.0, 0.0))
-    assert label == "d1*" and its <= 1
-    assert _close(point, (0.0, 0.0), tol=0.0)
-
-
-def test_orbit_limit_no_convergence():
-    m = induced_map(make_rule_bo3(), 1.0 / 9.0)
-    label, _, its = orbit_limit(m, (0.5, 0.1), tol=1e-300, max_iter=5)
-    assert label == NO_CONVERGENCE
-    assert its == 5
-    with pytest.raises(ValueError):
-        orbit_limit(m, (0.5, 0.1), tol=0.0)
-
-
-def test_orbit_limit_unmatched_for_generic_rule():
-    m = induced_map(make_rule_best_of(2), r_of_u(0.8))
-    label, point, its = orbit_limit(m, (0.5, 0.1))
-    assert label == UNMATCHED
-    assert its > 0
-    # The orbit still lands on a numerical fixed point of the map itself.
-    assert _close(m.eval(tuple(point)), point, tol=1e-8)
-
-
-def test_write_orbit_csv_format():
-    m = induced_map(make_rule_bo3(), 1.0 / 9.0)
-    orb = iterate(m, (0.2, 0.1), 3)
-    buf = io.StringIO()
-    write_orbit_csv(orb, m, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0].startswith("# space=delta model=bo3 u=")
-    assert lines[1] == "t,x1,x2"
-    assert len(lines) == 2 + 4
-    for t, row in enumerate(lines[2:]):
-        cells = row.split(",")
-        assert int(cells[0]) == t
-        assert _close((float(cells[1]), float(cells[2])), orb.points[t], tol=1e-8)
+    d2 = fixed_point_locations("bo2", 0.7)["d2*"]
+    assert d2[0] == pytest.approx(math.sqrt(0.4) / 0.7, abs=1e-15)
+    assert _close(iterate(m, (0.5, 0.02), 200)[-1], d2, tol=1e-8)
+    # (0, 0) is fixed at u = 0.4
+    d1 = fixed_point_locations("bo2", 0.4)["d1*"]
+    pts = iterate(induced_map(make_rule_bo2(), r_of_u(0.4)), d1, 1)
+    assert _close(pts[1], (0.0, 0.0), tol=0.0)

@@ -19,6 +19,7 @@ from votedyn import (
     load_graph,
     save_graph,
 )
+from votedyn import sbm_graph
 from votedyn.sbm_graph import DENSE_LIMIT, _unrank_intra
 
 
@@ -39,8 +40,6 @@ def test_rejects_invalid_parameters():
         generate_sbm(10, 1.5, 0.1, seed=0)
     with pytest.raises(ValueError):
         generate_sbm(10, 0.3, -0.1, seed=0)
-    with pytest.raises(ValueError):
-        generate_sbm(10, 0.3, 0.1, seed=0, method="magic")
 
 
 def test_same_seed_reproduces_different_seed_varies():
@@ -98,15 +97,20 @@ def test_edge_counts_track_expectation():
     assert abs(cross - m_cross) < 6 * s_cross
 
 
-def test_generation_methods_agree_in_distribution():
+def test_generation_methods_agree_in_distribution(monkeypatch):
     # same (n,p,q) across seeds: per-pair inclusion frequencies from the
-    # geometric-skip path must track p and q like the dense path does
+    # geometric-skip path (DENSE_LIMIT = 0) must track p and q like the dense
+    # path does
     n, p, q, reps = 16, 0.35, 0.15, 400
-    for method in ("dense", "sparse"):
+    dense_graph = generate_sbm(n, p, q, seed=0)
+    for method, limit in (("dense", DENSE_LIMIT), ("sparse", 0)):
+        monkeypatch.setattr(sbm_graph, "DENSE_LIMIT", limit)
+        # the two paths consume the stream differently
+        assert (edge_set(generate_sbm(n, p, q, seed=0)) == edge_set(dense_graph)) == (limit > 0)
         hit_intra = 0
         hit_cross = 0
         for seed in range(reps):
-            g = generate_sbm(n, p, q, seed=seed, method=method)
+            g = generate_sbm(n, p, q, seed=seed)
             for a, b in edge_set(g):
                 if (a < n) == (b < n):
                     hit_intra += 1
@@ -120,10 +124,11 @@ def test_generation_methods_agree_in_distribution():
         assert abs(f_cross - q) < 5 * math.sqrt(q * (1 - q) / n_cross), method
 
 
-def test_dense_limit_routes_methods():
-    # the auto method must be usable on either side of the cutoff
+def test_dense_limit_routes_methods(monkeypatch):
+    # the sparse path must be usable below the cutoff too
     assert DENSE_LIMIT == 2000
-    small = generate_sbm(30, 0.5, 0.2, seed=1, method="sparse")
+    monkeypatch.setattr(sbm_graph, "DENSE_LIMIT", 0)
+    small = generate_sbm(30, 0.5, 0.2, seed=1)
     assert small.num_edges > 0
 
 
@@ -223,7 +228,10 @@ def test_deg_in_set_matches_brute_force():
     for g in graphs:
         nv = g.num_vertices
         for mask in (np.zeros(nv, dtype=bool), np.ones(nv, dtype=bool), rng.random(nv) < 0.3):
-            expect = [sum(1 for w in g.neighbors_of(v) if mask[int(w)]) for v in range(nv)]
+            expect = [
+                sum(1 for w in g.neighbors[g.offsets[v] : g.offsets[v + 1]] if mask[int(w)])
+                for v in range(nv)
+            ]
             assert g.count_in(mask).tolist() == expect
 
 
