@@ -96,7 +96,6 @@ def _experiment_config(
     default_steps: int,
     r_fallback: float | None = None,
 ) -> eh.ExperimentConfig:
-    init_text = _merged(args, cfg, "init", str, default_init)
     r = _merged(args, cfg, "r", float, r_fallback, required=r_fallback is None)
     seed = _merged(args, cfg, "seed", int)
     if seed is None and "master_seed" in cfg:
@@ -106,7 +105,7 @@ def _experiment_config(
         n=_merged(args, cfg, "n", int, required=True),
         p=_merged(args, cfg, "p", float, required=True),
         r=r,
-        init=vc.parse_init_family(init_text) if init_text else None,
+        init=_merged(args, cfg, "init", str, default_init) or None,
         trials=_merged(args, cfg, "trials", int, 10),
         max_steps=_merged(args, cfg, "max_steps", int, default_steps),
         master_seed=resolve_seed(seed),

@@ -69,6 +69,8 @@ class ExperimentConfig:
         if self.n < 1 or self.trials < 1 or self.max_steps < 0 or self.workers < 1:
             raise ValueError("n, trials >= 1; max_steps >= 0; workers >= 1")
         vc.rule_from_name(self.model)  # validates the name
+        if isinstance(self.init, str):
+            object.__setattr__(self, "init", vc.parse_init_family(self.init))
 
     @property
     def q(self) -> float:
@@ -140,11 +142,8 @@ def run_trials(
 ) -> list[TrialRecord]:
     """Execute cfg.trials independent trials of one experiment, sorted by
     trial index. Worker count never changes the records."""
-    family = cfg.init
-    if family is None:
+    if cfg.init is None:
         raise ValueError("no init family configured")
-    if isinstance(family, str):
-        family = vc.parse_init_family(family)
     shared = None
     if cfg.shared_graph:
         shared = sbm_graph.generate_sbm(
@@ -161,7 +160,7 @@ def run_trials(
             "graph": shared,
             "graph_seed": derive_seed(cfg.master_seed, exp_id, "graph", graph_tag),
             "seed": derive_seed(cfg.master_seed, exp_id, trial),
-            "init": family,
+            "init": cfg.init,
             "trial": trial,
             "mode": mode,
             "max_steps": cfg.max_steps,
@@ -309,12 +308,11 @@ def adversarial_families(model: str, u: float, n: int) -> list[vc.InitFamily]:
         vc.exact_counts(0, 0),
     ]
     locs = fpa.fixed_point_locations(model, u)
-    if "d2*" in locs:
-        d = locs["d2*"][0]
-        families += [vc.clustered(d, 0.0), vc.clustered(-d, 0.0)]
-    if "d3*" in locs:
-        d1, d2 = locs["d3*"]
-        families += [vc.clustered(d1, d2), vc.clustered(-d1, d2)]
+    for fp in ("d2*", "d3*"):
+        # a point with d1 = 0 is its own mirror image and lies on the d2 axis
+        if fp in locs and locs[fp][0] != 0.0:
+            d1, d2 = locs[fp]
+            families += [vc.clustered(d1, d2), vc.clustered(-d1, d2)]
     for rho in np.arange(0.1, 0.95, 0.1):
         families.append(vc.random_density(round(float(rho), 2)))
     return families

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import warnings
 
 import numpy as np
 
@@ -140,16 +141,21 @@ def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np
     return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
 
 
-def _build_graph(n: int, src_u: np.ndarray, src_v: np.ndarray, p: float, q: float, seed: int) -> Graph:
+def _directed_keys(u: np.ndarray, v: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
+    return u * nv + v, v * nv + u
+
+
+def _graph_from_keys(n: int, keys: np.ndarray, p: float, q: float, seed: int) -> Graph:
+    # keys are the directed edge keys u*2n+v, both directions of every edge;
+    # one in-place sort orders them by (u, v), so two equal adjacent keys are
+    # a duplicate edge, and the keys themselves become the neighbor array
     nv = 2 * n
-    src = np.concatenate([src_u, src_v])
-    dst = np.concatenate([src_v, src_u])
-    order = np.lexsort((dst, src))
-    src = src[order]
-    dst = dst[order]
-    offsets = np.zeros(nv + 1, dtype=np.int64)
-    np.cumsum(np.bincount(src, minlength=nv), out=offsets[1:])
-    return Graph(n=n, offsets=offsets, neighbors=dst.astype(np.int64), p=p, q=q, seed=seed)
+    keys.sort()
+    if np.any(keys[1:] == keys[:-1]):
+        raise ValueError("duplicate edges are not allowed")
+    offsets = np.searchsorted(keys, np.arange(nv + 1, dtype=np.int64) * nv)
+    keys %= nv
+    return Graph(n=n, offsets=offsets, neighbors=keys, p=p, q=q, seed=seed)
 
 
 def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
@@ -159,7 +165,8 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     cross pairs) from one Philox stream. For n <= DENSE_LIMIT each pair draws
     a uniform; above it the sampler skips geometrically between edges. Both
     paths sample the same distribution (each consumes the stream differently,
-    so graphs differ per seed).
+    so graphs differ per seed). Each block's edges are kept only as their two
+    directed keys u*2n+v, and one sort of all keys builds the graph.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -170,20 +177,15 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     draw = _pair_indices_dense if n <= DENSE_LIMIT else _pair_indices_geometric
 
     rng = np.random.Generator(np.random.Philox(key=seed))
+    nv = 2 * n
     m_intra = n * (n - 1) // 2
-    us, vs = [], []
-
+    keys = []
     for base in (0, n):
-        k = draw(rng, m_intra, p)
-        i, j = _unrank_intra(k, n)
-        us.append(i + base)
-        vs.append(j + base)
-
+        i, j = _unrank_intra(draw(rng, m_intra, p), n)
+        keys += _directed_keys(i + base, j + base, nv)
     k = draw(rng, n * n, q)
-    us.append(k // n)
-    vs.append(n + k % n)
-
-    return _build_graph(n, np.concatenate(us), np.concatenate(vs), p, q, seed)
+    keys += _directed_keys(k // n, n + k % n, nv)
+    return _graph_from_keys(n, np.concatenate(keys), p, q, seed)
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -206,19 +208,20 @@ def degree_stats(g: Graph) -> DegreeStats:
 
 
 def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 0) -> Graph:
-    """Build a validated Graph from an iterable of undirected (u, v) pairs."""
+    """Build a validated Graph from an (E, 2) array-like of undirected (u, v)
+    pairs, each edge once in either orientation."""
     nv = 2 * n
-    arr = np.asarray(list(edges), dtype=np.int64).reshape(-1, 2)
-    if arr.size:
-        if arr.min() < 0 or arr.max() >= nv:
-            raise ValueError("edge endpoint out of range")
-        if np.any(arr[:, 0] == arr[:, 1]):
-            raise ValueError("self loops are not allowed")
-        canon = np.sort(arr, axis=1)
-        keys = canon[:, 0] * nv + canon[:, 1]
-        if np.unique(keys).size != keys.size:
-            raise ValueError("duplicate edges are not allowed")
-    return _build_graph(n, arr[:, 0], arr[:, 1], p, q, seed)
+    arr = np.asarray(edges, dtype=np.int64)
+    if arr.size == 0:
+        arr = arr.reshape(0, 2)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("each edge must be exactly two integer vertex ids")
+    if arr.size and (arr.min() < 0 or arr.max() >= nv):
+        raise ValueError("edge endpoint out of range")
+    u, v = arr.T
+    if np.any(u == v):
+        raise ValueError("self loops are not allowed")
+    return _graph_from_keys(n, np.concatenate(_directed_keys(u, v, nv)), p, q, seed)
 
 
 def save_graph(g: Graph, dest) -> None:
@@ -235,8 +238,8 @@ def _write_graph(g: Graph, fh) -> None:
     fh.write(f"sbm {g.n} {g.p!r} {g.q!r} {g.seed}\n")
     src = np.repeat(np.arange(g.num_vertices), g.degrees)
     keep = src < g.neighbors
-    for u, v in zip(src[keep], g.neighbors[keep]):
-        fh.write(f"{u} {v}\n")
+    flat = np.column_stack((src[keep], g.neighbors[keep])).ravel().tolist()
+    fh.write("%d %d\n" * g.num_edges % tuple(flat))
 
 
 def load_graph(source) -> Graph:
@@ -252,17 +255,11 @@ def _read_graph(fh) -> Graph:
     header = fh.readline().split()
     if len(header) != 5 or header[0] != "sbm":
         raise ValueError("bad header: expected `sbm n p q seed`")
-    n = int(header[1])
-    p = float(header[2])
-    q = float(header[3])
-    seed = int(header[4])
+    n, p, q, seed = int(header[1]), float(header[2]), float(header[3]), int(header[4])
     if n < 1 or not (0.0 <= q <= p <= 1.0):
         raise ValueError("header violates 0 <= q <= p <= 1, n >= 1")
-    edges = []
-    for line in fh:
-        line = line.strip()
-        if not line:
-            continue
-        a, b = line.split()
-        edges.append((int(a), int(b)))
+    with warnings.catch_warnings():
+        # a header-only file is a valid graph without edges
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+        edges = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
     return graph_from_edges(n, edges, p=p, q=q, seed=seed)

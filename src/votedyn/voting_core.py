@@ -169,8 +169,9 @@ def _draws(name: str) -> int:
     this parse."""
     if name in ("bo2", "bo3"):
         return int(name[2])
+    # one spelling per rule: no leading zeros, no non-ASCII digits
     m = name.removeprefix("best_of_")
-    if m != name and m.isdecimal() and 3 <= int(m) <= 25 and int(m) % 2 == 1:
+    if m != name and m in [str(k) for k in range(3, 26, 2)]:
         return int(m)
     raise ValueError(f"unknown rule name: {name!r} (bo2, bo3, or best_of_<m> with odd m from 3 to 25)")
 

@@ -61,6 +61,23 @@ def test_generate_rejects_q_above_p(tmp_path, capsys):
     assert "q must not exceed p" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1 2\n", "two integer"),
+        ("0 9\n", "out of range"),
+        ("2 2\n", "self loops"),
+        ("0 1\n1 0\n", "duplicate"),
+        ("0 1\n0 1\n", "duplicate"),
+    ],
+)
+def test_bad_graph_file_exits_2(tmp_path, capsys, body, message):
+    g = tmp_path / "g.txt"
+    g.write_text("sbm 2 0.5 0.1 0\n" + body)
+    assert main(["simulate", "--graph", str(g), "--model", "bo3", "--seed", "1"]) == 2
+    assert message in capsys.readouterr().err
+
+
 # --- simulate ---
 
 
@@ -96,9 +113,11 @@ def test_simulate_unknown_rule(tmp_path, capsys):
     g = tmp_path / "g.txt"
     main(["generate", "--n", "10", "--p", "0.4", "--q", "0.1", "--seed", "3",
           "-o", str(g)])
-    code = main(["simulate", "--graph", str(g), "--model", "bo9", "--seed", "1"])
-    assert code == 2
-    assert "unknown rule name" in capsys.readouterr().err
+    # only the canonical spelling of a rule name: no leading zeros, ASCII digits
+    for model in ("bo9", "best_of_025", "best_of_\uff15"):
+        code = main(["simulate", "--graph", str(g), "--model", model, "--seed", "1"])
+        assert code == 2
+        assert "unknown rule name" in capsys.readouterr().err
 
 
 def test_simulate_best_of_range(tmp_path, capsys):

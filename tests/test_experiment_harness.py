@@ -125,6 +125,14 @@ def test_run_trials_accepts_parsed_and_string_inits():
     via_string = run_trials(cfg, "exp1")
     via_family = run_trials(replace(cfg, init=vd.biased_global(0.2)), "exp1")
     assert via_string == via_family
+    # a string init is parsed once, at construction, into its one spelling
+    cfg = small_cfg(init="biased_global(0.20)", trials=1, max_steps=5)
+    assert cfg.init == vd.biased_global(0.2)
+    buf = io.StringIO()
+    write_results_csv(cfg, run_trials(cfg, "exp1"), buf)
+    assert next(csv.DictReader(io.StringIO(buf.getvalue())))["init"] == "biased_global(0.2)"
+    with pytest.raises(ValueError):
+        small_cfg(init="nonsense(1)")
 
 
 def test_run_trials_without_init_raises():
@@ -208,6 +216,14 @@ def test_adversarial_families_cover_fixed_points():
     assert "exact_counts(1000,1000)" in names
     # below the lower threshold only the consensus points remain
     assert len(adversarial_families("bo3", 0.5, 1000)) >= 12
+
+
+@pytest.mark.parametrize("model, u", [("bo3", u_of_r(0.2)), ("bo2", 0.5)])
+def test_adversarial_families_are_distinct(model, u):
+    # here the axis fixed point d2* sits at the origin, d1 = 0
+    assert u == pytest.approx({"bo3": 2 / 3, "bo2": 0.5}[model])
+    fams = adversarial_families(model, u, 30)
+    assert len(set(map(str, fams))) == len(fams) == 17
 
 
 def test_worst_case_scan():

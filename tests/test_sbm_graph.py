@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import io
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -132,6 +134,31 @@ def test_dense_limit_routes_methods(monkeypatch):
     assert small.num_edges > 0
 
 
+# sha256 over the int64 bytes of offsets, then neighbors
+CSR_DIGESTS = [
+    ("dense", (1, 1.0, 1.0, 0), "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0"),
+    ("dense", (2, 0.9, 0.4, 1), "9bbb2f1ea83df580097fb4e55d9ec3ddae33cd4a6012c3cab9339dbb694d3a58"),
+    ("dense", (30, 0.4, 0.1, 3), "009f42673510c3c16ca5e911665ddcf3d49746a26e0f36d51ba42c33989fc05d"),
+    ("dense", (1000, 0.05, 0.01, 2), "6fe5f38e6f38f54a06a0d10be432a99b558cb0b1a58cbbac721e60890c5ad66c"),
+    ("geometric", (1, 1.0, 1.0, 0), "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0"),
+    ("geometric", (2, 0.9, 0.4, 1), "20380aa5ff181568c69a1bbc37e63b7344bd8b028fd7b8fe5b4d976d21c50953"),
+    ("geometric", (30, 0.4, 0.1, 3), "61f177c368dca8790de3316839fae608e9f8b71670dcf0c53b8428ca0c021a63"),
+    ("geometric", (1000, 0.05, 0.01, 2), "a417b063fa7ec1cb09fa137b7789cec524544b51ae8f176fd31544914b120c58"),
+]
+
+
+@pytest.mark.parametrize("path, args, digest", CSR_DIGESTS)
+def test_csr_arrays_are_pinned(monkeypatch, path, args, digest):
+    if path == "geometric":
+        monkeypatch.setattr(sbm_graph, "DENSE_LIMIT", 0)
+    g = generate_sbm(*args)
+    assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int64
+    h = hashlib.sha256()
+    for arr in (g.offsets, g.neighbors):
+        h.update(np.ascontiguousarray(arr, dtype=np.int64).tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_unrank_intra_enumerates_every_pair():
     n = 50
     seen = set()
@@ -152,8 +179,15 @@ def test_graph_from_edges_round_trip():
         graph_from_edges(2, [(0, 0)])
     with pytest.raises(ValueError):
         graph_from_edges(2, [(0, 4)])
-    with pytest.raises(ValueError):
-        graph_from_edges(2, [(0, 1), (1, 0)])
+    for bad in ([(0, 1), (1, 0)], [(2, 3), (2, 3)]):
+        with pytest.raises(ValueError, match="duplicate"):
+            graph_from_edges(2, bad)
+    with pytest.raises(ValueError, match="two integer"):
+        graph_from_edges(2, np.array([[0, 1, 2], [1, 2, 3]]))
+    # any array-like of pairs, and an empty edge list
+    g = graph_from_edges(2, np.array(edges))
+    assert edge_set(g) == {(0, 1), (1, 2), (2, 3), (0, 3)}
+    assert graph_from_edges(2, np.empty((0, 2), dtype=np.int64)).num_edges == 0
 
 
 def test_save_load_round_trip_exact():
@@ -179,8 +213,30 @@ def test_save_load_paths(tmp_path):
 def test_load_rejects_malformed_input():
     with pytest.raises(ValueError):
         load_graph(io.StringIO("not a header\n0 1\n"))
-    with pytest.raises(ValueError):
-        load_graph(io.StringIO("sbm 2 0.5 0.1 0\n0 9\n"))
+    bodies = [
+        "0 9\n",  # out of range
+        "1 1\n",  # self loop
+        "0 1\n1 0\n",  # duplicate, either orientation
+        "0 1\n0 1\n",
+        "0 1 2\n",  # three tokens
+        "0\n",  # one token
+        "1 2 3\n4\n",
+        "0 x\n",  # not an integer
+        "1.5 2\n",
+        "# comment\n0 1\n",
+    ]
+    for body in bodies:
+        with pytest.raises(ValueError):
+            load_graph(io.StringIO("sbm 2 0.5 0.1 0\n" + body))
+
+
+def test_load_accepts_blank_lines_and_no_edges():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = load_graph(io.StringIO("sbm 2 0.5 0.1 0\n"))
+    assert g.num_edges == 0 and g.offsets.tolist() == [0] * 5
+    g = load_graph(io.StringIO("sbm 2 0.5 0.1 0\n0 1\n\n2 3\n"))
+    assert edge_set(g) == {(0, 1), (2, 3)}
 
 
 def test_degree_stats_matches_direct_recount():
