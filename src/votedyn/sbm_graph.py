@@ -50,6 +50,8 @@ class Graph:
         Generation seed recorded for serialization.
     degrees : ndarray of int64, shape (2n,)
         Per-vertex degrees, computed at construction.
+    isolated : ndarray of int64
+        Ascending ids of the degree-0 vertices, computed at construction.
     """
 
     n: int
@@ -59,12 +61,15 @@ class Graph:
     q: float
     seed: int = 0
     degrees: np.ndarray = field(init=False, repr=False)
+    isolated: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         degrees = self.offsets[1:] - self.offsets[:-1]
-        for arr in (self.offsets, self.neighbors, degrees):
+        isolated = np.flatnonzero(degrees == 0)
+        for arr in (self.offsets, self.neighbors, degrees, isolated):
             arr.setflags(write=False)
         object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "isolated", isolated)
 
     @property
     def num_vertices(self) -> int:
@@ -82,8 +87,8 @@ class Graph:
         votes = np.zeros(self.neighbors.size + 1, dtype=bool)
         votes[:-1] = mask[self.neighbors]
         count = np.add.reduceat(votes.view(np.uint8), self.offsets[:-1], dtype=np.int32)
-        if np.count_nonzero(self.degrees) < self.degrees.size:
-            count[self.degrees == 0] = 0
+        if self.isolated.size:
+            count[self.isolated] = 0
         return count
 
 

@@ -6,7 +6,9 @@ probability f1(x) and a vertex holding opinion 2 switches with probability
 f2(x), where x = deg_A(v)/deg(v) is the fraction of v's neighbors holding
 opinion 1. Built-in rules also carry a sampling procedure (draw a few random
 neighbors with replacement and apply a majority criterion) whose outcome
-distribution equals the polynomial description exactly.
+distribution is the polynomial description up to the neighbor draw: the index
+map floor(u*deg) on 53-bit uniforms u gives each neighbor probability 1/deg
+within 2^-52, a relative deviation of at most deg*2^-52.
 
 Isolated vertices keep their opinion forever; they still consume their random
 draws so the stream layout of a step never depends on the state.
@@ -65,7 +67,8 @@ class VotingRule:
     """Polynomial voting rule; coefficient lists are ascending in degree.
 
     sampler is None for arbitrary polynomial rules, or one of "bo2", "bo3",
-    "best_of_<m>" (m odd) to enable the neighbor-sampling step path.
+    "best_of_<m>" (m odd) to enable the neighbor-sampling step path. draws is
+    the sampler's neighbor samples per vertex, 0 without a sampler.
     Coefficients are fixed at construction: the arrays are read-only copies.
     """
 
@@ -73,6 +76,7 @@ class VotingRule:
     f1_coeffs: np.ndarray
     f2_coeffs: np.ndarray
     sampler: str | None = None
+    draws: int = field(default=0, init=False, compare=False)
     # Horner coefficients for step_probabilities: (f1, f2), or (f,) when the
     # two polynomials are bit-identical
     _horner: tuple = field(default=(), init=False, repr=False, compare=False)
@@ -96,6 +100,7 @@ class VotingRule:
             self._horner = (f1,)
         else:
             self._horner = (f1, _horner_coeffs(self.f2_coeffs))
+        self.draws = 0 if self.sampler is None else _draws(self.sampler)
 
     def f1(self, x):
         return npoly.polyval(x, self.f1_coeffs)
@@ -163,15 +168,18 @@ def make_rule_polynomial(name: str, f1_coeffs, f2_coeffs) -> VotingRule:
     return VotingRule(name=name, f1_coeffs=f1_coeffs, f2_coeffs=f2_coeffs, sampler=None)
 
 
+# the one spelling of each best_of_<m>: no leading zeros, no non-ASCII digits
+_BEST_OF_M = tuple(str(k) for k in range(3, 26, 2))
+
+
 def _draws(name: str) -> int:
     """Neighbor samples per vertex of a named sampling rule: bo2, bo3, or
     best_of_<m> for odd m from 3 to 25. Rule names and sampler tags share
     this parse."""
     if name in ("bo2", "bo3"):
         return int(name[2])
-    # one spelling per rule: no leading zeros, no non-ASCII digits
     m = name.removeprefix("best_of_")
-    if m != name and m in [str(k) for k in range(3, 26, 2)]:
+    if m != name and m in _BEST_OF_M:
         return int(m)
     raise ValueError(f"unknown rule name: {name!r} (bo2, bo3, or best_of_<m> with odd m from 3 to 25)")
 
@@ -225,13 +233,12 @@ def to_alpha(d1, d2):
 def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarray:
     """Exact per-vertex probability of holding opinion 1 after one step."""
     deg = g.degrees
-    has_isolated = np.count_nonzero(deg) < deg.size
-    x = g.count_in(s.member) / (np.maximum(deg, 1) if has_isolated else deg)
+    isolated = g.isolated
+    x = g.count_in(s.member) / (np.maximum(deg, 1) if isolated.size else deg)
     prob = _horner(rule._horner[0], x)
     if len(rule._horner) == 2:
         np.copyto(prob, _horner(rule._horner[1], x), where=~s.member)
-    if has_isolated:
-        isolated = deg == 0
+    if isolated.size:
         prob[isolated] = s.member[isolated]
     return prob.clip(0.0, 1.0, out=prob)
 
@@ -244,30 +251,39 @@ def step_probability(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random
 
 
 def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) -> OpinionState:
-    """One synchronous step by sampling neighbors with replacement."""
-    if rule.sampler is None:
+    """One synchronous step by sampling neighbors with replacement.
+
+    Vertex v's j-th sample is neighbor floor(u[v, j] * deg(v)) of the
+    (nv, m) uniform draw u; the arithmetic runs on its transpose, one
+    contiguous row of nv vertices per sample.
+    """
+    m = rule.draws
+    if not m:
         raise ValueError("rule has no sampler tag; use step_probability")
-    m = _draws(rule.sampler)
-    nv = g.num_vertices
-    deg = g.degrees
-    safe = np.maximum(deg, 1)
-    u = rng.random((nv, m))
+    u = rng.random((g.num_vertices, m))
     if g.neighbors.size == 0:
         return state_from_member(s.member.copy())
-    idx = (u * safe[:, None]).astype(np.int64)
-    np.minimum(idx, (safe - 1)[:, None], out=idx)
-    # isolated vertices produce an out-of-segment index; clamp, the override
-    # below discards whatever they read
-    flat = np.minimum(g.offsets[:-1][:, None] + idx, g.neighbors.size - 1)
-    votes = s.member[g.neighbors[flat]]
-    ones = votes.sum(axis=1)
+    isolated = g.isolated
+    safe = np.maximum(g.degrees, 1) if isolated.size else g.degrees
+    # u <= 1 - 2^-53 and rounding is monotone, so the rounded product u*d
+    # stays below any integer d < 2^53: the index needs no clamp to d - 1
+    idx = np.multiply(u.T, safe, order="C").astype(np.int64)
+    idx += g.offsets[:-1]
+    if isolated.size:
+        # an isolated last vertex indexes one past the end; clamp, the
+        # override below discards whatever isolated vertices read
+        np.minimum(idx, g.neighbors.size - 1, out=idx)
+    own = s.member.view(np.uint8)
+    ones = own[g.neighbors[idx]].sum(axis=0, dtype=np.uint8)  # m <= 25
+    threshold = m // 2
     if rule.sampler == "bo2":
-        new = np.where(ones == 2, True, np.where(ones == 0, False, s.member))
-    else:
-        new = ones > m // 2
-    isolated = deg == 0
-    if np.any(isolated):
-        new = np.where(isolated, s.member, new)
+        # keep the own opinion unless both samples oppose it: the majority
+        # of the own vote and the two samples
+        ones += own
+        threshold = 1
+    new = ones > threshold
+    if isolated.size:
+        new[isolated] = s.member[isolated]
     return state_from_member(new)
 
 

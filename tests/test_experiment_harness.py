@@ -69,6 +69,7 @@ def test_rule_from_name():
     assert rule_from_name("bo2").name == "bo2"
     assert rule_from_name("best_of_5").name == "best_of_5"
     assert rule_from_name("best_of_25").name == "best_of_25"
+    assert [rule_from_name(name).draws for name in ("bo2", "bo3", "best_of_5", "best_of_25")] == [2, 3, 5, 25]
     for bad in ("bo7", "best_of_4", "best_of_1", "best_of_27", "poly"):
         with pytest.raises(ValueError):
             rule_from_name(bad)

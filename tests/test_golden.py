@@ -21,9 +21,12 @@ GOLDEN = {
     "goodness.json": "099e5c7c2d90927659f15fb07f6820ad48505fd375ab3935741fbd8cabe91f79",
     "graph_dense.txt": "37c643e4b7f011014eb3369eb55841c119a8df0c48695bb12b9847acadecf8c0",
     "graph_geometric.txt": "886935eea79f1dce7aef85b788f45ac32a05a1765e62fc005f5a4cba487befe7",
+    "simulate_best_of_5.csv": "025f2d7dbae161818d2b4988e54039fb6e543700ba1d7fb946e28e422e4a84d9",
     "simulate_bo2.csv": "7cfa9cb6340be2c1780b9878a6e207dc62884e74825819dde097d275b5a211bc",
     "simulate_bo3.csv": "6f24b4bfc8d970ce7555f2944c27ad9f1cb0db924fdee4117344ae598a252b6c",
     "simulate_geometric.csv": "df4b460086d3ade7044166979da49ff0ef95030cdb8e503cbc63683a98b0c1ef",
+    "sink_bo2.json": "89d4fc5dc76a1d08a3786b9d54fb25da838a72f261a8cda0eec19ca8ac6fc7a7",
+    "sink_bo3.json": "9e65117a6d3aa507fe13a3606ffeee88a3b0495dee66724950df2ab69fab1cb1",
     "sweep/results.csv": "45114280d3ca38f1d5ff67bc78aace29ba5cd9133fc2c7cefb28f06fde809fbf",
     "sweep/summary.json": "d87f6386e908cadd1ee2b630396290a3f4c1c89b0df535aea5d7055d3d4bca27",
     "worst_case.csv": "ce38da5e25e5d0694887e4cf96ead67b23033c829c05e5ac08e6a9dd823f8aae",
@@ -44,10 +47,18 @@ def _commands(d: Path) -> list[list[str]]:
          "--max-steps", "50", "--seed", "5", "-o", str(d / "simulate_bo2.csv")],
         ["simulate", "--graph", str(d / "graph_geometric.txt"), "--model", "bo3",
          "--max-steps", "20", "--seed", "5", "-o", str(d / "simulate_geometric.csv")],
+        ["simulate", "--graph", dense, "--model", "best_of_5", "--init", "clustered(0.3,0.1)",
+         "--max-steps", "50", "--seed", "5", "-o", str(d / "simulate_best_of_5.csv")],
         ["goodness", "--graph", dense, "--rule", "bo3", "--samples", "20", "--seed", "6",
          "-o", str(d / "goodness.json")],
         ["sweep", "--model", "bo3", *common, "--r-grid", "0.1,0.3", "--max-steps", "50",
          "--shared-graph", "-o", str(d / "sweep")],
+        ["sink-persist", "--model", "bo3", "--n", "200", "--p", "0.2", "--r", "0.05",
+         "--trials", "2", "--max-steps", "200", "--seed", "7", "--workers", "1",
+         "-o", str(d / "sink_bo3.json")],
+        ["sink-persist", "--model", "bo2", "--n", "200", "--p", "0.2", "--r", "0.10",
+         "--trials", "2", "--max-steps", "200", "--seed", "7", "--workers", "1",
+         "-o", str(d / "sink_bo2.json")],
         ["escape", "--model", "bo3", *common, "--r", "0.05", "--budget", "20",
          "-o", str(d / "escape.json")],
         ["deviation", "--model", "bo3", *common, "--r", "0.3", "--t-max", "5",

@@ -28,6 +28,7 @@ from votedyn import (
     state_from_member,
     step,
     step_probabilities,
+    step_sampling,
     to_alpha,
     to_delta,
     write_trajectory_csv,
@@ -189,16 +190,20 @@ def test_step_is_deterministic_given_generator_state():
 
 def test_step_stream_layout_is_state_independent():
     # the rng must advance identically for any opinion state, so per-trial
-    # streams stay aligned whatever trajectory is realized
-    g = graph_from_edges(3, [(0, 1), (2, 3)])  # vertices 4,5 isolated
+    # streams stay aligned whatever trajectory is realized; every step draws
+    # nv*m uniforms, also on a graph without edges
+    graphs = [graph_from_edges(3, [(0, 1), (2, 3)]), graph_from_edges(3, [])]  # 4,5 / all isolated
     s_a = state_from_member(np.isin(np.arange(6), [0, 4]))
     s_b = state_from_member(np.isin(np.arange(6), [1, 2, 3]))
-    for rule in (make_rule_bo3(), make_rule_bo2()):
-        r1 = np.random.default_rng(9)
-        r2 = np.random.default_rng(9)
-        step(g, s_a, rule, r1)
-        step(g, s_b, rule, r2)
-        assert r1.random() == r2.random(), rule.name
+    for g in graphs:
+        for rule in (make_rule_bo3(), make_rule_bo2(), make_rule_best_of(2)):
+            r1 = np.random.default_rng(9)
+            r2 = np.random.default_rng(9)
+            r3 = np.random.default_rng(9)
+            step(g, s_a, rule, r1)
+            step(g, s_b, rule, r2)
+            r3.random((g.num_vertices, rule.draws))
+            assert r1.random() == r2.random() == r3.random(), (rule.name, g.num_edges)
 
 
 def _reference_step_probabilities(g, member, rule):
@@ -216,7 +221,7 @@ def _reference_step_probabilities(g, member, rule):
     return np.clip(prob, 0.0, 1.0)
 
 
-def test_step_probabilities_match_polyval_reference_bit_for_bit():
+def _sbm_with_isolated_vertices():
     base = generate_sbm(20, 0.4, 0.1, seed=3)
     cut = {7, 39}  # isolated vertices in the middle and at the end
     edges = [
@@ -225,8 +230,13 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
         for v in base.neighbors[base.offsets[u] : base.offsets[u + 1]]
         if u < v and u not in cut and v not in cut
     ]
-    graphs = [graph_from_edges(20, edges), graph_from_edges(3, [])]
-    assert np.flatnonzero(graphs[0].degrees == 0).tolist() == [7, 39]
+    g = graph_from_edges(20, edges)
+    assert np.flatnonzero(g.degrees == 0).tolist() == [7, 39]
+    return g
+
+
+def test_step_probabilities_match_polyval_reference_bit_for_bit():
+    graphs = [_sbm_with_isolated_vertices(), graph_from_edges(3, [])]
     rules = [
         make_rule_bo3(),
         make_rule_bo2(),
@@ -248,6 +258,71 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
                 want = _reference_step_probabilities(g, member, rule)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (rule.name, nv)
+
+
+def _sample_count(rule):
+    # neighbour samples per vertex, parsed from the sampler tag
+    return {"bo2": 2, "bo3": 3}.get(rule.sampler) or int(rule.sampler.removeprefix("best_of_"))
+
+
+def _reference_step_sampling(g, member, rule, rng):
+    # the row-layout sampling kernel: an (nv, m) index array, a row sum of the
+    # votes, and bo2's adopt-if-both-samples-agree choice written with np.where
+    m = _sample_count(rule)
+    deg = np.diff(g.offsets)
+    safe = np.maximum(deg, 1)
+    u = rng.random((g.num_vertices, m))
+    if g.neighbors.size == 0:
+        return member.copy()
+    idx = np.floor(u * safe[:, None]).astype(np.int64)
+    np.minimum(idx, (safe - 1)[:, None], out=idx)
+    flat = np.minimum(g.offsets[:-1][:, None] + idx, g.neighbors.size - 1)
+    ones = member[g.neighbors[flat]].sum(axis=1)
+    if rule.sampler == "bo2":
+        new = np.where(ones == 2, True, np.where(ones == 0, False, member))
+    else:
+        new = ones > m // 2
+    return np.where(deg == 0, member, new)
+
+
+def test_largest_uniform_indexes_the_last_neighbour():
+    # Generator.random returns multiples of 2^-53 below 1, and a rounded
+    # product is monotone in u, so if the largest uniform maps degree d to
+    # index d - 1, no uniform maps past the last neighbour
+    assert np.nextafter(1.0, 0.0) == 1.0 - 2.0**-53
+    deg = np.arange(1, 2**20 + 1, dtype=np.int64)
+    assert np.array_equal((np.nextafter(1.0, 0.0) * deg).astype(np.int64), deg - 1)
+
+
+def test_polynomial_rules_have_no_sampling_step():
+    rule = make_rule_polynomial("two", [0.2, 0.5], [0.1, 0.6])
+    assert rule.draws == 0
+    g = graph_from_edges(1, [(0, 1)])
+    with pytest.raises(ValueError, match="no sampler"):
+        step_sampling(g, state_from_member([True, False]), rule, np.random.default_rng(0))
+
+
+def test_step_sampling_matches_reference_bit_for_bit():
+    graphs = [_sbm_with_isolated_vertices(), graph_from_edges(3, []), graph_from_edges(1, [(0, 1)])]
+    rules = [make_rule_bo2(), make_rule_bo3(), make_rule_best_of(2), make_rule_best_of(12)]
+    for g in graphs:
+        nv = g.num_vertices
+        for rule in rules:
+            starts = np.random.default_rng(4)
+            got_rng = np.random.Generator(np.random.Philox(21))
+            want_rng = np.random.Generator(np.random.Philox(21))
+            s = state_from_member(starts.random(nv) < 0.5)
+            want = s.member
+            for t in range(200):
+                s = step_sampling(g, s, rule, got_rng)
+                want = _reference_step_sampling(g, want, rule, want_rng)
+                assert s.member.dtype == want.dtype and s.member.shape == want.shape
+                assert s.member.tobytes() == want.tobytes(), (rule.name, nv, t)
+                if s.count1 + s.count2 in (0, nv):
+                    # consensus is absorbing: restart both from a fresh state
+                    s = state_from_member(starts.random(nv) < 0.5)
+                    want = s.member
+            assert got_rng.bit_generator.random_raw() == want_rng.bit_generator.random_raw(), (rule.name, nv)
 
 
 def test_rule_coefficients_are_fixed_at_construction():
