@@ -44,8 +44,14 @@ RESULTS_HEADER = "model,n,p,q,r,init,trial,seed,t_cons,timeout,final_opinion,pea
 
 
 def derive_seed(master_seed: int, *parts) -> int:
-    text = ":".join([str(int(master_seed))] + [str(p) for p in parts])
-    return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    """First 8 bytes (big-endian) of a sha256 over the master seed and each
+    part as UTF-8 text, each prefixed by its byte length as 8 big-endian
+    bytes, so no two lists of part texts hash the same bytes."""
+    h = hashlib.sha256()
+    for text in [str(int(master_seed)), *map(str, parts)]:
+        data = text.encode()
+        h.update(len(data).to_bytes(8, "big") + data)
+    return int.from_bytes(h.digest()[:8], "big")
 
 
 @dataclass(frozen=True)

@@ -27,13 +27,11 @@ __all__ = [
     "load_graph",
 ]
 
-# pair-independent sampling below this community size, geometric skipping above
-DENSE_LIMIT = 2000
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Immutable adjacency in compressed form: sorted neighbor lists per vertex.
+
+    Two graphs compare equal only when they are the same object.
 
     Attributes
     ----------
@@ -122,24 +120,25 @@ def _unrank_intra(k: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return i, j
 
 
-def _pair_indices_dense(rng: np.random.Generator, m: int, prob: float) -> np.ndarray:
-    if m == 0 or prob <= 0.0:
-        return np.empty(0, dtype=np.int64)
-    return np.nonzero(rng.random(m) < prob)[0].astype(np.int64)
-
-
 def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np.ndarray:
+    # ascending indices of the hits among m Bernoulli(prob) pairs: the gap to
+    # the next hit is 1 + floor(log(1-u) / log(1-prob)) (Batagelj and Brandes,
+    # Phys. Rev. E 71, 036113, 2005)
     if m == 0 or prob <= 0.0:
         return np.empty(0, dtype=np.int64)
     if prob >= 1.0:
         return np.arange(m, dtype=np.int64)
     log_skip = math.log1p(-prob)
+    # a gap of m + 1 passes the last pair from any position, so capping the
+    # numerator there changes no hit; it keeps the quotient finite and inside
+    # int64 when prob is tiny
+    log_cap = (m + 1) * log_skip
     chunks = []
     pos = -1
     while pos < m:
         want = int((m - pos) * prob * 1.1) + 64
         u = rng.random(want)
-        gaps = np.floor(np.log1p(-u) / log_skip).astype(np.int64) + 1
+        gaps = np.floor(np.maximum(np.log1p(-u), log_cap) / log_skip).astype(np.int64) + 1
         hits = pos + np.cumsum(gaps)
         pos = int(hits[-1])
         chunks.append(hits[hits < m])
@@ -167,11 +166,11 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     """Sample G(2n, p, q) deterministically from the seed.
 
     Blocks are drawn in a fixed order (community 1 pairs, community 2 pairs,
-    cross pairs) from one Philox stream. For n <= DENSE_LIMIT each pair draws
-    a uniform; above it the sampler skips geometrically between edges. Both
-    paths sample the same distribution (each consumes the stream differently,
-    so graphs differ per seed). Each block's edges are kept only as their two
-    directed keys u*2n+v, and one sort of all keys builds the graph.
+    cross pairs) from one Philox stream. Within a block the sampler skips
+    geometrically from edge to edge, drawing about one uniform per edge, so
+    its cost follows the edge count rather than the pair count. Each block's
+    edges are kept only as their two directed keys u*2n+v, and one sort of
+    all keys builds the graph.
     """
     if n < 1:
         raise ValueError("n must be a positive integer")
@@ -179,16 +178,14 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
         raise ValueError("q must not exceed p")
     if not (0.0 <= q and p <= 1.0):
         raise ValueError("edge probabilities must satisfy 0 <= q <= p <= 1")
-    draw = _pair_indices_dense if n <= DENSE_LIMIT else _pair_indices_geometric
-
     rng = np.random.Generator(np.random.Philox(key=seed))
     nv = 2 * n
     m_intra = n * (n - 1) // 2
     keys = []
     for base in (0, n):
-        i, j = _unrank_intra(draw(rng, m_intra, p), n)
+        i, j = _unrank_intra(_pair_indices_geometric(rng, m_intra, p), n)
         keys += _directed_keys(i + base, j + base, nv)
-    k = draw(rng, n * n, q)
+    k = _pair_indices_geometric(rng, n * n, q)
     keys += _directed_keys(k // n, n + k % n, nv)
     return _graph_from_keys(n, np.concatenate(keys), p, q, seed)
 

@@ -62,7 +62,7 @@ STATUS_TIMEOUT = "timeout"
 STATUS_STOPPED = "stopped"
 
 
-@dataclass
+@dataclass(eq=False)
 class VotingRule:
     """Polynomial voting rule; coefficient lists are ascending in degree.
 
@@ -70,16 +70,17 @@ class VotingRule:
     "best_of_<m>" (m odd) to enable the neighbor-sampling step path. draws is
     the sampler's neighbor samples per vertex, 0 without a sampler.
     Coefficients are fixed at construction: the arrays are read-only copies.
+    Two rules compare equal only when they are the same object.
     """
 
     name: str
     f1_coeffs: np.ndarray
     f2_coeffs: np.ndarray
     sampler: str | None = None
-    draws: int = field(default=0, init=False, compare=False)
+    draws: int = field(default=0, init=False)
     # Horner coefficients for step_probabilities: (f1, f2), or (f,) when the
     # two polynomials are bit-identical
-    _horner: tuple = field(default=(), init=False, repr=False, compare=False)
+    _horner: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
         self.f1_coeffs = np.array(self.f1_coeffs, dtype=np.float64, ndmin=1)

@@ -49,8 +49,9 @@ def small_cfg(**overrides) -> ExperimentConfig:
 
 def test_derive_seed_recipe():
     got = derive_seed(0xC0FFEE, "alpha", 3)
-    text = ":".join([str(0xC0FFEE), "alpha", "3"])
-    want = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+    # each part as text, prefixed by its byte length in 8 big-endian bytes
+    data = b"".join(len(t).to_bytes(8, "big") + t for t in (b"12648430", b"alpha", b"3"))
+    want = int.from_bytes(hashlib.sha256(data).digest()[:8], "big")
     assert got == want
     assert 0 <= got < 2**64
 
@@ -62,6 +63,9 @@ def test_derive_seed_sensitivity():
     assert derive_seed(1, "y", 0) != base
     assert derive_seed(1, "x", 1) != base
     assert derive_seed(1, "x") != base
+    # parts may contain any separator; the split between them still counts
+    assert derive_seed(1, "a:b", "c") != derive_seed(1, "a", "b:c")
+    assert derive_seed(1, "ab", "") != derive_seed(1, "a", "b")
 
 
 def test_rule_from_name():

@@ -13,24 +13,24 @@ from pathlib import Path
 
 from votedyn.cli_io import main
 
-# `graph_dense.txt` comes from the pair-by-pair sampler, `graph_geometric.txt`
-# (n = 2001 > DENSE_LIMIT) from the geometric-skip sampler.
+# `graph_dense.txt` (n = 30, p = 0.4) and `graph_geometric.txt` (n = 2001,
+# p = 0.002) come from the same sampler; only their density differs.
 GOLDEN = {
-    "deviation.json": "7b7bde4e1ceb781b07ef2278321d782dd6a59041157785215ba9dfa530c43086",
-    "escape.json": "ddd889e2f2f7dfafe7da74c9ecec2aeefa7e9b67a8e5dc270fe12504cace0d06",
-    "goodness.json": "099e5c7c2d90927659f15fb07f6820ad48505fd375ab3935741fbd8cabe91f79",
-    "graph_dense.txt": "37c643e4b7f011014eb3369eb55841c119a8df0c48695bb12b9847acadecf8c0",
+    "deviation.json": "aee6d240b76cda8ba837a5bffefc10a26d9d49f705719c5220668b33f8d037be",
+    "escape.json": "db7c1ef067c34dd42c659693db9adaa4e4d2ffa0b30095689ed576cd1021e8d3",
+    "goodness.json": "9fbcd1515517a992ef0d23f3b5947d47ea5eafdfa648b5178a535d5f381c6548",
+    "graph_dense.txt": "5a26f3269f21ea05874ef3367dd9f6dca78ec5b339ddff9cd6d252fbe3acb400",
     "graph_geometric.txt": "886935eea79f1dce7aef85b788f45ac32a05a1765e62fc005f5a4cba487befe7",
-    "simulate_best_of_5.csv": "025f2d7dbae161818d2b4988e54039fb6e543700ba1d7fb946e28e422e4a84d9",
-    "simulate_bo2.csv": "7cfa9cb6340be2c1780b9878a6e207dc62884e74825819dde097d275b5a211bc",
-    "simulate_bo3.csv": "6f24b4bfc8d970ce7555f2944c27ad9f1cb0db924fdee4117344ae598a252b6c",
+    "simulate_best_of_5.csv": "28e8efef5db52bf238fe2252d0a48f32fb008593c1c042134af7062b34a53642",
+    "simulate_bo2.csv": "48cdb4245e89f8747440189964ca906b6105b68e8e779b56e7a58a8162ece133",
+    "simulate_bo3.csv": "5e20a6ad54d7994c55e1b475ab640545eb484a1040b89501267e69a4a61488ee",
     "simulate_geometric.csv": "df4b460086d3ade7044166979da49ff0ef95030cdb8e503cbc63683a98b0c1ef",
-    "sink_bo2.json": "89d4fc5dc76a1d08a3786b9d54fb25da838a72f261a8cda0eec19ca8ac6fc7a7",
-    "sink_bo3.json": "9e65117a6d3aa507fe13a3606ffeee88a3b0495dee66724950df2ab69fab1cb1",
-    "sweep/results.csv": "45114280d3ca38f1d5ff67bc78aace29ba5cd9133fc2c7cefb28f06fde809fbf",
-    "sweep/summary.json": "d87f6386e908cadd1ee2b630396290a3f4c1c89b0df535aea5d7055d3d4bca27",
-    "worst_case.csv": "ce38da5e25e5d0694887e4cf96ead67b23033c829c05e5ac08e6a9dd823f8aae",
-    "worst_case.json": "4df0ff0b0a2c1b21d4e251b4d0ed1a2b9366eef57d592029ccc27b909ae2d15f",
+    "sink_bo2.json": "ce461ee90d7f9d5e37c77ddbb162681ef8d8cf28b4ba567506fc00249a53116a",
+    "sink_bo3.json": "4806d1b38a5940608334ec240a733f4d657b99ea137905ffb52da55b7c7d00b3",
+    "sweep/results.csv": "97012fd1ac7dcab6e57e87ddf2229b638e8062ac147315fbe961b3cde4412e30",
+    "sweep/summary.json": "9ae0b121506bee4ac680d656957427c828b7873f275f10d07cecd75a7c055441",
+    "worst_case.csv": "82eee88c189f8428891cde7d171c2dbbf3c7719b4ed03d87d722c38ad0d11dde",
+    "worst_case.json": "8b65fb32c6ea76f02b58512e1201632d16c3fe8ac6e6426a4ac33aba07cd818e",
 }
 
 

@@ -21,8 +21,11 @@ from votedyn import (
     load_graph,
     save_graph,
 )
-from votedyn import sbm_graph
-from votedyn.sbm_graph import DENSE_LIMIT, _unrank_intra
+from votedyn.sbm_graph import _unrank_intra
+
+# a numeric overflow in the sampler fails the test instead of passing with a
+# warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def edge_set(g: Graph) -> set[tuple[int, int]]:
@@ -86,7 +89,8 @@ def test_extreme_probabilities():
 
 
 def test_edge_counts_track_expectation():
-    # mean over pair-independent draws; 6 sigma two-sided bound per block
+    # each block's edge count is binomial over its pairs; 6 sigma two-sided
+    # bound per block
     n, p, q = 500, 0.2, 0.05
     g = generate_sbm(n, p, q, seed=4)
     intra = sum(1 for a, b in edge_set(g) if (a < n) == (b < n))
@@ -99,58 +103,61 @@ def test_edge_counts_track_expectation():
     assert abs(cross - m_cross) < 6 * s_cross
 
 
-def test_generation_methods_agree_in_distribution(monkeypatch):
-    # same (n,p,q) across seeds: per-pair inclusion frequencies from the
-    # geometric-skip path (DENSE_LIMIT = 0) must track p and q like the dense
-    # path does
+def test_pair_frequencies_track_probabilities():
+    # same (n,p,q) across seeds: per-pair inclusion frequencies of the
+    # geometric-skip sampler must track p and q
     n, p, q, reps = 16, 0.35, 0.15, 400
-    dense_graph = generate_sbm(n, p, q, seed=0)
-    for method, limit in (("dense", DENSE_LIMIT), ("sparse", 0)):
-        monkeypatch.setattr(sbm_graph, "DENSE_LIMIT", limit)
-        # the two paths consume the stream differently
-        assert (edge_set(generate_sbm(n, p, q, seed=0)) == edge_set(dense_graph)) == (limit > 0)
-        hit_intra = 0
-        hit_cross = 0
-        for seed in range(reps):
-            g = generate_sbm(n, p, q, seed=seed)
-            for a, b in edge_set(g):
-                if (a < n) == (b < n):
-                    hit_intra += 1
-                else:
-                    hit_cross += 1
-        n_intra = reps * 2 * math.comb(n, 2)
-        n_cross = reps * n * n
-        f_intra = hit_intra / n_intra
-        f_cross = hit_cross / n_cross
-        assert abs(f_intra - p) < 5 * math.sqrt(p * (1 - p) / n_intra), method
-        assert abs(f_cross - q) < 5 * math.sqrt(q * (1 - q) / n_cross), method
+    hit_intra = 0
+    hit_cross = 0
+    for seed in range(reps):
+        g = generate_sbm(n, p, q, seed=seed)
+        for a, b in edge_set(g):
+            if (a < n) == (b < n):
+                hit_intra += 1
+            else:
+                hit_cross += 1
+    n_intra = reps * 2 * math.comb(n, 2)
+    n_cross = reps * n * n
+    f_intra = hit_intra / n_intra
+    f_cross = hit_cross / n_cross
+    assert abs(f_intra - p) < 5 * math.sqrt(p * (1 - p) / n_intra)
+    assert abs(f_cross - q) < 5 * math.sqrt(q * (1 - q) / n_cross)
 
 
-def test_dense_limit_routes_methods(monkeypatch):
-    # the sparse path must be usable below the cutoff too
-    assert DENSE_LIMIT == 2000
-    monkeypatch.setattr(sbm_graph, "DENSE_LIMIT", 0)
-    small = generate_sbm(30, 0.5, 0.2, seed=1)
-    assert small.num_edges > 0
+@pytest.mark.parametrize(
+    "n, p, q",
+    [
+        (2001, 0.001, 1e-18),
+        (2001, 0.001, 1e-300),
+        (5, 0.5, 5e-324),
+        (5, 5e-324, 5e-324),
+        (5, 5e-324, 0.0),
+    ],
+)
+def test_tiny_probabilities_keep_the_sampler_in_range(n, p, q):
+    # the geometric gap log(1-u)/log(1-q) passes 2**63 (or overflows the
+    # divide) when q is tiny; that must neither corrupt the graph nor warn
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g = generate_sbm(n, p, q, seed=0)
+    assert g.offsets[0] == 0 and g.offsets[-1] == g.neighbors.size
+    assert np.all(np.diff(g.offsets) >= 0)
+    assert all((a < n) == (b < n) for a, b in edge_set(g))
+    if p < 1e-300:
+        assert g.num_edges == 0
 
 
 # sha256 over the int64 bytes of offsets, then neighbors
 CSR_DIGESTS = [
-    ("dense", (1, 1.0, 1.0, 0), "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0"),
-    ("dense", (2, 0.9, 0.4, 1), "9bbb2f1ea83df580097fb4e55d9ec3ddae33cd4a6012c3cab9339dbb694d3a58"),
-    ("dense", (30, 0.4, 0.1, 3), "009f42673510c3c16ca5e911665ddcf3d49746a26e0f36d51ba42c33989fc05d"),
-    ("dense", (1000, 0.05, 0.01, 2), "6fe5f38e6f38f54a06a0d10be432a99b558cb0b1a58cbbac721e60890c5ad66c"),
-    ("geometric", (1, 1.0, 1.0, 0), "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0"),
-    ("geometric", (2, 0.9, 0.4, 1), "20380aa5ff181568c69a1bbc37e63b7344bd8b028fd7b8fe5b4d976d21c50953"),
-    ("geometric", (30, 0.4, 0.1, 3), "61f177c368dca8790de3316839fae608e9f8b71670dcf0c53b8428ca0c021a63"),
-    ("geometric", (1000, 0.05, 0.01, 2), "a417b063fa7ec1cb09fa137b7789cec524544b51ae8f176fd31544914b120c58"),
+    ((1, 1.0, 1.0, 0), "c8b9af456571329ad39419553d14c5af97f36474bd52d2920a364e990801d5f0"),
+    ((2, 0.9, 0.4, 1), "20380aa5ff181568c69a1bbc37e63b7344bd8b028fd7b8fe5b4d976d21c50953"),
+    ((30, 0.4, 0.1, 3), "61f177c368dca8790de3316839fae608e9f8b71670dcf0c53b8428ca0c021a63"),
+    ((1000, 0.05, 0.01, 2), "a417b063fa7ec1cb09fa137b7789cec524544b51ae8f176fd31544914b120c58"),
 ]
 
 
-@pytest.mark.parametrize("path, args, digest", CSR_DIGESTS)
-def test_csr_arrays_are_pinned(monkeypatch, path, args, digest):
-    if path == "geometric":
-        monkeypatch.setattr(sbm_graph, "DENSE_LIMIT", 0)
+@pytest.mark.parametrize("args, digest", CSR_DIGESTS)
+def test_csr_arrays_are_pinned(args, digest):
     g = generate_sbm(*args)
     assert g.offsets.dtype == np.int64 and g.neighbors.dtype == np.int64
     h = hashlib.sha256()
@@ -299,3 +306,10 @@ def test_graph_is_frozen():
             setattr(g, name, value)
     with pytest.raises(ValueError):
         g.degrees[0] = 0  # read-only
+
+
+def test_graph_compares_by_identity():
+    a = graph_from_edges(2, [(0, 1), (2, 3)])
+    b = graph_from_edges(2, [(0, 1), (2, 3)])
+    assert a == a and a != b
+    assert len({a, b, a}) == 2

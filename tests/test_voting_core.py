@@ -336,6 +336,15 @@ def test_rule_coefficients_are_fixed_at_construction():
     assert make_rule_polynomial("scalar", 0.5, 0.5).f1_coeffs.tolist() == [0.5]
 
 
+def test_rule_compares_by_identity():
+    a, b = make_rule_bo3(), make_rule_bo3()
+    assert a == a and a != b
+    assert len({a, b, a}) == 2
+    # a frozen map over a rule hashes too
+    m = vd.induced_map(a, 0.1)
+    assert hash(m) == hash(vd.induced_map(a, 0.1))
+
+
 def test_isolated_vertices_keep_opinion():
     g = graph_from_edges(2, [])
     s = state_from_member(np.array([True, False, True, False]))
