@@ -7,11 +7,19 @@ cross-community pair with probability q, where 0 <= q <= p <= 1.
 Randomness comes from numpy's Philox generator (counter based, 64-bit words)
 keyed directly by the seed, so identical seeds give identical graphs on every
 platform.
+
+Every Graph is built the same way, whether sampled or read from an edge list:
+each undirected edge (u, v) is written as its two directed keys u << s | v and
+v << s | u, with s = (2n-1).bit_length(), into one array. The keys are int32
+while they fit in 31 bits (n <= 16384) and int64 above. One in-place sort of
+that array orders the keys by (u, v); the offsets are read off it by binary
+search and the neighbor ids are its low s bits, widened to int64.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+import itertools
 import math
 import warnings
 
@@ -31,7 +39,8 @@ __all__ = [
 class Graph:
     """Immutable adjacency in compressed form: sorted neighbor lists per vertex.
 
-    Two graphs compare equal only when they are the same object.
+    Two graphs compare equal only when they are the same object. The arrays
+    are read-only and always int64, whatever key width built them.
 
     Attributes
     ----------
@@ -63,7 +72,7 @@ class Graph:
 
     def __post_init__(self):
         degrees = self.offsets[1:] - self.offsets[:-1]
-        isolated = np.flatnonzero(degrees == 0)
+        isolated = (degrees == 0).nonzero()[0]
         for arr in (self.offsets, self.neighbors, degrees, isolated):
             arr.setflags(write=False)
         object.__setattr__(self, "degrees", degrees)
@@ -102,24 +111,6 @@ class DegreeStats:
     normalized_dev: float
 
 
-def _unrank_intra(k: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
-    # invert the lexicographic pair index: pairs (i,j), i<j<size, index
-    # base(i) = i(2*size-1-i)/2, then j = i+1+(k-base(i))
-    kk = k.astype(np.float64)
-    b = 2 * size - 1
-    i = np.floor((b - np.sqrt(b * b - 8.0 * kk)) / 2.0).astype(np.int64)
-    # float sqrt can land one off at block boundaries; fix with integer math
-    base = i * (2 * size - 1 - i) // 2
-    too_far = base > k
-    i[too_far] -= 1
-    base_next = (i + 1) * (2 * size - 2 - i) // 2
-    behind = base_next <= k
-    i[behind] += 1
-    base = i * (2 * size - 1 - i) // 2
-    j = k - base + i + 1
-    return i, j
-
-
 def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np.ndarray:
     # ascending indices of the hits among m Bernoulli(prob) pairs: the gap to
     # the next hit is 1 + floor(log(1-u) / log(1-prob)) (Batagelj and Brandes,
@@ -136,30 +127,78 @@ def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np
     chunks = []
     pos = -1
     while pos < m:
-        want = int((m - pos) * prob * 1.1) + 64
-        u = rng.random(want)
-        gaps = np.floor(np.maximum(np.log1p(-u), log_cap) / log_skip).astype(np.int64) + 1
-        hits = pos + np.cumsum(gaps)
+        u = rng.random(int((m - pos) * prob * 1.1) + 64)
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.maximum(u, log_cap, out=u)
+        u /= log_skip
+        np.floor(u, out=u)
+        hits = u.astype(np.int64)
+        del u
+        hits += 1
+        np.cumsum(hits, out=hits)
+        hits += pos
         pos = int(hits[-1])
-        chunks.append(hits[hits < m])
-    return np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        if pos >= m:
+            hits = hits[: np.searchsorted(hits, m)]
+        chunks.append(hits)
+    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _directed_keys(u: np.ndarray, v: np.ndarray, nv: int) -> tuple[np.ndarray, np.ndarray]:
-    return u * nv + v, v * nv + u
+def _pair_blocks(n: int) -> list[tuple[np.ndarray, int, np.ndarray | int]]:
+    # (starts, row0, col0) of each block in sampling order. Pair (i, j),
+    # i < j, of a community has index i(2n-1-i)/2 + j-i-1, and the cross pair
+    # (i, n+j) has index i*n + j
+    i = np.arange(n + 1, dtype=np.int64)
+    intra = i * (2 * n - 1 - i) // 2
+    return [(intra, 0, i[:-1] + 1), (intra, n, i[:-1] + 1 + n), (i * n, 0, n)]
 
 
-def _graph_from_keys(n: int, keys: np.ndarray, p: float, q: float, seed: int) -> Graph:
-    # keys are the directed edge keys u*2n+v, both directions of every edge;
-    # one in-place sort orders them by (u, v), so two equal adjacent keys are
-    # a duplicate edge, and the keys themselves become the neighbor array
-    nv = 2 * n
+def _block_edges(hits, starts, row0, col0, dtype) -> tuple[np.ndarray, np.ndarray]:
+    # the edges (row0 + r, col0[r] + k - starts[r]) of the ascending pair
+    # indices k, where row r of the block owns starts[r] <= k < starts[r+1]
+    counts = np.diff(np.searchsorted(hits, starts))
+    u = np.repeat(np.arange(row0, row0 + counts.size, dtype=dtype), counts)
+    v = hits.astype(dtype)
+    v -= np.repeat((starts[:-1] - col0).astype(dtype), counts)
+    return u, v
+
+
+def _key_layout(nv: int) -> tuple[int, type]:
+    # the directed edge (u, v) has the key u << s | v, which sorts like
+    # u*nv + v; int32 keys hold it while 2s <= 31, i.e. up to n = 16384
+    s = (nv - 1).bit_length()
+    return s, np.int32 if 2 * s <= 31 else np.int64
+
+
+def _write_keys(keys: np.ndarray, lo: int, u: np.ndarray, v: np.ndarray, s: int) -> int:
+    # both directed keys of the edges (u, v) into keys[lo:]; returns the end
+    e = u.size
+    fwd, rev = keys[lo : lo + e], keys[lo + e : lo + 2 * e]
+    np.left_shift(u, s, out=fwd)
+    fwd |= v
+    np.left_shift(v, s, out=rev)
+    rev |= u
+    return lo + 2 * e
+
+
+def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed: int) -> Graph:
+    # keys holds both directed keys of every edge; one in-place sort orders
+    # them by (u, v), so two equal adjacent keys are a duplicate edge, and the
+    # low s bits of the sorted keys are the neighbor array
     keys.sort()
-    if np.any(keys[1:] == keys[:-1]):
+    if (keys[1:] == keys[:-1]).any():
         raise ValueError("duplicate edges are not allowed")
-    offsets = np.searchsorted(keys, np.arange(nv + 1, dtype=np.int64) * nv)
-    keys %= nv
-    return Graph(n=n, offsets=offsets, neighbors=keys, p=p, q=q, seed=seed)
+    offsets = np.searchsorted(keys, np.arange(0, (2 * n + 1) << s, 1 << s, dtype=keys.dtype))
+    keys &= (1 << s) - 1
+    neighbors = keys.astype(np.int64, copy=False)
+    return Graph(n=n, offsets=offsets, neighbors=neighbors, p=p, q=q, seed=seed)
+
+
+def _require_int(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
@@ -168,10 +207,13 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     Blocks are drawn in a fixed order (community 1 pairs, community 2 pairs,
     cross pairs) from one Philox stream. Within a block the sampler skips
     geometrically from edge to edge, drawing about one uniform per edge, so
-    its cost follows the edge count rather than the pair count. Each block's
-    edges are kept only as their two directed keys u*2n+v, and one sort of
-    all keys builds the graph.
+    its cost follows the edge count rather than the pair count. A lookup of
+    each hit's row turns the ascending pair indices into edges, whose two
+    directed keys go into one preallocated array; one sort of it builds the
+    graph.
     """
+    n = _require_int("n", n)
+    seed = _require_int("seed", seed)
     if n < 1:
         raise ValueError("n must be a positive integer")
     if q > p:
@@ -179,15 +221,16 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     if not (0.0 <= q and p <= 1.0):
         raise ValueError("edge probabilities must satisfy 0 <= q <= p <= 1")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    nv = 2 * n
     m_intra = n * (n - 1) // 2
-    keys = []
-    for base in (0, n):
-        i, j = _unrank_intra(_pair_indices_geometric(rng, m_intra, p), n)
-        keys += _directed_keys(i + base, j + base, nv)
-    k = _pair_indices_geometric(rng, n * n, q)
-    keys += _directed_keys(k // n, n + k % n, nv)
-    return _graph_from_keys(n, np.concatenate(keys), p, q, seed)
+    draws = ((m_intra, p), (m_intra, p), (n * n, q))
+    hits = [_pair_indices_geometric(rng, m, prob) for m, prob in draws]
+    s, dtype = _key_layout(2 * n)
+    keys = np.empty(2 * sum(h.size for h in hits), dtype=dtype)
+    lo = 0
+    for k, (starts, row0, col0) in zip(hits, _pair_blocks(n)):
+        lo = _write_keys(keys, lo, *_block_edges(k, starts, row0, col0, dtype), s)
+    del hits, k  # free the pair indices before the neighbor array is widened
+    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -211,19 +254,32 @@ def degree_stats(g: Graph) -> DegreeStats:
 
 def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 0) -> Graph:
     """Build a validated Graph from an (E, 2) array-like of undirected (u, v)
-    pairs, each edge once in either orientation."""
+    pairs, each edge once in either orientation. Vertex ids must have an
+    integer type; floats, strings and bools are rejected, not converted."""
+    n = _require_int("n", n)
+    seed = _require_int("seed", seed)
     nv = 2 * n
-    arr = np.asarray(edges, dtype=np.int64)
+    arr = np.asarray(edges)
     if arr.size == 0:
-        arr = arr.reshape(0, 2)
-    if arr.ndim != 2 or arr.shape[1] != 2:
+        arr = np.empty((0, 2), dtype=np.int64)
+    # a list mixing bools with ints still gives an integer array
+    if (
+        arr.ndim != 2
+        or arr.shape[1] != 2
+        or arr.dtype.kind not in "iu"
+        or not isinstance(edges, np.ndarray)
+        and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(edges)))
+    ):
         raise ValueError("each edge must be exactly two integer vertex ids")
     if arr.size and (arr.min() < 0 or arr.max() >= nv):
         raise ValueError("edge endpoint out of range")
-    u, v = arr.T
-    if np.any(u == v):
+    s, dtype = _key_layout(nv)
+    u, v = arr.astype(dtype).T
+    if (u == v).any():
         raise ValueError("self loops are not allowed")
-    return _graph_from_keys(n, np.concatenate(_directed_keys(u, v, nv)), p, q, seed)
+    keys = np.empty(2 * u.size, dtype=dtype)
+    _write_keys(keys, 0, u, v, s)
+    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
 def save_graph(g: Graph, dest) -> None:

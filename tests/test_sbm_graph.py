@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import hashlib
 import io
+import itertools
 import math
 import warnings
 
@@ -21,7 +23,12 @@ from votedyn import (
     load_graph,
     save_graph,
 )
-from votedyn.sbm_graph import _unrank_intra
+from votedyn.sbm_graph import (
+    _block_edges,
+    _key_layout,
+    _pair_blocks,
+    _pair_indices_geometric,
+)
 
 # a numeric overflow in the sampler fails the test instead of passing with a
 # warning
@@ -45,6 +52,32 @@ def test_rejects_invalid_parameters():
         generate_sbm(10, 1.5, 0.1, seed=0)
     with pytest.raises(ValueError):
         generate_sbm(10, 0.3, -0.1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "args, name",
+    [
+        ((3, 0.5, 0.1, 1.7), "seed"),
+        ((3, 0.5, 0.1, True), "seed"),
+        ((3, 0.5, 0.1, "1"), "seed"),
+        ((2.5, 0.5, 0.1, 0), "n"),
+        ((3.0, 0.5, 0.1, 0), "n"),
+        ((True, 0.5, 0.1, 0), "n"),
+    ],
+)
+def test_rejects_non_integer_n_and_seed(args, name):
+    # a float seed used to reach the saved header, which load_graph rejects
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        generate_sbm(*args)
+    g = generate_sbm(np.int64(3), 0.5, 0.1, np.uint32(1))
+    assert type(g.n) is int and type(g.seed) is int
+    assert load_graph(io.StringIO(_saved(g))).seed == 1
+
+
+def _saved(g: Graph) -> str:
+    buf = io.StringIO()
+    save_graph(g, buf)
+    return buf.getvalue()
 
 
 def test_same_seed_reproduces_different_seed_varies():
@@ -166,15 +199,45 @@ def test_csr_arrays_are_pinned(args, digest):
     assert h.hexdigest() == digest
 
 
-def test_unrank_intra_enumerates_every_pair():
-    n = 50
-    seen = set()
-    idx = np.arange(math.comb(n, 2), dtype=np.int64)
-    rows, cols = _unrank_intra(idx, n)
-    for a, b in zip(rows, cols):
-        assert 0 <= a < b < n
-        seen.add((int(a), int(b)))
-    assert len(seen) == math.comb(n, 2)
+def test_row_lookup_enumerates_every_pair():
+    # each block's row lookup maps pair index k to the k-th pair in
+    # lexicographic order: (i, j), i < j, within a community, and
+    # divmod(k, n) offset into community 2 across
+    for n in (1, 2, 50):
+        intra = list(itertools.combinations(range(n), 2))
+        for block, base in zip(_pair_blocks(n)[:2], (0, n)):
+            u, v = _block_edges(np.arange(len(intra), dtype=np.int64), *block, np.int64)
+            assert list(zip(u.tolist(), v.tolist())) == [(i + base, j + base) for i, j in intra]
+    cross = _pair_blocks(7)[2]
+    k = np.arange(49, dtype=np.int64)
+    u, v = _block_edges(k, *cross, np.int32)
+    assert u.tolist() == (k // 7).tolist() and (v - 7).tolist() == (k % 7).tolist()
+
+
+@pytest.mark.parametrize("n, width", [(16384, np.int32), (16385, np.int64)])
+def test_both_key_widths_build_the_same_csr(n, width):
+    # the widest graph with int32 keys and the narrowest with int64 keys,
+    # against a CSR built by lexsort from the sampler's pairs, unranked by
+    # bisection
+    assert _key_layout(2 * n)[1] is width
+    p, seed = 1e-4, 6
+    g = generate_sbm(n, p, p, seed=seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    starts = [i * (2 * n - 1 - i) // 2 for i in range(n + 1)]
+    pairs = []
+    for base in (0, n):
+        for k in _pair_indices_geometric(rng, math.comb(n, 2), p).tolist():
+            i = bisect.bisect_right(starts, k) - 1
+            pairs.append((base + i, base + k - starts[i] + i + 1))
+    for k in _pair_indices_geometric(rng, n * n, p).tolist():
+        pairs.append((k // n, n + k % n))
+    u, v = np.array(pairs, dtype=np.int64).T
+    src, dst = np.concatenate((u, v)), np.concatenate((v, u))
+    order = np.lexsort((dst, src))
+    offsets = np.concatenate(([0], np.cumsum(np.bincount(src, minlength=2 * n))))
+    for got, want in ((g.offsets, offsets), (g.neighbors, dst[order])):
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert np.array_equal(got, want)
 
 
 def test_graph_from_edges_round_trip():
@@ -195,6 +258,25 @@ def test_graph_from_edges_round_trip():
     g = graph_from_edges(2, np.array(edges))
     assert edge_set(g) == {(0, 1), (1, 2), (2, 3), (0, 3)}
     assert graph_from_edges(2, np.empty((0, 2), dtype=np.int64)).num_edges == 0
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(0.5, 1)],
+        [("1", "2")],
+        [(True, 3)],
+        [(np.True_, 3)],
+        np.array([[0.0, 1.0]]),
+        np.array([[True, False]]),
+        np.array([[0, 1]], dtype=object),
+    ],
+)
+def test_graph_from_edges_takes_only_integer_ids(edges):
+    with pytest.raises(ValueError, match="two integer"):
+        graph_from_edges(2, edges)
+    for ok in ([], np.empty((0, 2)), np.array([[0, 3]], dtype=np.uint8), [(np.int32(0), 3)]):
+        assert graph_from_edges(2, ok).num_edges == len(ok)
 
 
 def test_save_load_round_trip_exact():
