@@ -201,6 +201,16 @@ def _require_int(name: str, value) -> int:
     return int(value)
 
 
+def _check_sbm_params(n: int, p: float, q: float) -> None:
+    # plain comparisons: graph_from_edges runs this on every small graph
+    if n < 1:
+        raise ValueError("n must be a positive integer")
+    if q > p:
+        raise ValueError("q must not exceed p")
+    if not 0.0 <= q <= p <= 1.0:
+        raise ValueError("edge probabilities must satisfy 0 <= q <= p <= 1")
+
+
 def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     """Sample G(2n, p, q) deterministically from the seed.
 
@@ -214,12 +224,7 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     """
     n = _require_int("n", n)
     seed = _require_int("seed", seed)
-    if n < 1:
-        raise ValueError("n must be a positive integer")
-    if q > p:
-        raise ValueError("q must not exceed p")
-    if not (0.0 <= q and p <= 1.0):
-        raise ValueError("edge probabilities must satisfy 0 <= q <= p <= 1")
+    _check_sbm_params(n, p, q)
     rng = np.random.Generator(np.random.Philox(key=seed))
     m_intra = n * (n - 1) // 2
     draws = ((m_intra, p), (m_intra, p), (n * n, q))
@@ -255,9 +260,12 @@ def degree_stats(g: Graph) -> DegreeStats:
 def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 0) -> Graph:
     """Build a validated Graph from an (E, 2) array-like of undirected (u, v)
     pairs, each edge once in either orientation. Vertex ids must have an
-    integer type; floats, strings and bools are rejected, not converted."""
+    integer type; floats, strings and bools are rejected, not converted.
+    n, p and q must pass the checks of generate_sbm, so every graph built
+    here saves to text that load_graph reads back."""
     n = _require_int("n", n)
     seed = _require_int("seed", seed)
+    _check_sbm_params(n, p, q)
     nv = 2 * n
     arr = np.asarray(edges)
     if arr.size == 0:
@@ -314,8 +322,7 @@ def _read_graph(fh) -> Graph:
     if len(header) != 5 or header[0] != "sbm":
         raise ValueError("bad header: expected `sbm n p q seed`")
     n, p, q, seed = int(header[1]), float(header[2]), float(header[3]), int(header[4])
-    if n < 1 or not (0.0 <= q <= p <= 1.0):
-        raise ValueError("header violates 0 <= q <= p <= 1, n >= 1")
+    _check_sbm_params(n, p, q)
     with warnings.catch_warnings():
         # a header-only file is a valid graph without edges
         warnings.filterwarnings("ignore", "loadtxt: input contained no data")

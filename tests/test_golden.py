@@ -16,21 +16,21 @@ from votedyn.cli_io import main
 # `graph_dense.txt` (n = 30, p = 0.4) and `graph_geometric.txt` (n = 2001,
 # p = 0.002) come from the same sampler; only their density differs.
 GOLDEN = {
-    "deviation.json": "aee6d240b76cda8ba837a5bffefc10a26d9d49f705719c5220668b33f8d037be",
-    "escape.json": "db7c1ef067c34dd42c659693db9adaa4e4d2ffa0b30095689ed576cd1021e8d3",
+    "deviation.json": "e91ab514bbaef6e824912dd5aaa0241bbc3cea8e3577216432aaaf55e8ea3754",
+    "escape.json": "bc990c21438a17d432d29e30dbc3d83f2645ec2f5b9c90c6cf1480edad1dba5e",
     "goodness.json": "9fbcd1515517a992ef0d23f3b5947d47ea5eafdfa648b5178a535d5f381c6548",
     "graph_dense.txt": "5a26f3269f21ea05874ef3367dd9f6dca78ec5b339ddff9cd6d252fbe3acb400",
     "graph_geometric.txt": "886935eea79f1dce7aef85b788f45ac32a05a1765e62fc005f5a4cba487befe7",
-    "simulate_best_of_5.csv": "28e8efef5db52bf238fe2252d0a48f32fb008593c1c042134af7062b34a53642",
-    "simulate_bo2.csv": "48cdb4245e89f8747440189964ca906b6105b68e8e779b56e7a58a8162ece133",
-    "simulate_bo3.csv": "5e20a6ad54d7994c55e1b475ab640545eb484a1040b89501267e69a4a61488ee",
-    "simulate_geometric.csv": "df4b460086d3ade7044166979da49ff0ef95030cdb8e503cbc63683a98b0c1ef",
-    "sink_bo2.json": "ce461ee90d7f9d5e37c77ddbb162681ef8d8cf28b4ba567506fc00249a53116a",
-    "sink_bo3.json": "4806d1b38a5940608334ec240a733f4d657b99ea137905ffb52da55b7c7d00b3",
-    "sweep/results.csv": "97012fd1ac7dcab6e57e87ddf2229b638e8062ac147315fbe961b3cde4412e30",
-    "sweep/summary.json": "9ae0b121506bee4ac680d656957427c828b7873f275f10d07cecd75a7c055441",
-    "worst_case.csv": "82eee88c189f8428891cde7d171c2dbbf3c7719b4ed03d87d722c38ad0d11dde",
-    "worst_case.json": "8b65fb32c6ea76f02b58512e1201632d16c3fe8ac6e6426a4ac33aba07cd818e",
+    "simulate_best_of_5.csv": "9446ca2579627edd5cb3b3c2d9b0813b336349cd5a76f60ea1f01bea7f6a562c",
+    "simulate_bo2.csv": "fcf5eb5fac70f0372515c0b88310efb5db9221a6c74caa8e38b07d580363400c",
+    "simulate_bo3.csv": "c983ec23020a700ee6f793e418e573796ec0972f3277b887dc629715a9a97149",
+    "simulate_geometric.csv": "6f127b9768ea85bbb526b6dcc5fc3e2d7c6accb9added3c96d2e6205367efd77",
+    "sink_bo2.json": "453dd173d2eae39eff0711bb66c8b924a4d08458af15e08f68699724ee1de260",
+    "sink_bo3.json": "38fecf6c8e2f6525b539a76b28cd015a03cf122ecaefac145e256e4ffd3e4408",
+    "sweep/results.csv": "2c2ba886d54c61c2486a270a6ae5babe3fa0090cd2cdb7ea78b945acc2587cdf",
+    "sweep/summary.json": "ca50fdb52aa439351e623bc37d0b0a65b1694725d455c37f61d4c6e34abec768",
+    "worst_case.csv": "99409d7a945fe23a2f7872b4417a507b4718a0f89657164e418df468ae5585bd",
+    "worst_case.json": "6b0d7c9b49e546dbecda79c439e552f21facf35abd9fe3093a44950186128dc1",
 }
 
 

@@ -261,6 +261,23 @@ def test_graph_from_edges_round_trip():
 
 
 @pytest.mark.parametrize(
+    "n, p, q, match",
+    [
+        (0, 0.0, 0.0, "n must be a positive"),
+        (-2, 0.0, 0.0, "n must be a positive"),
+        (2, 0.7, 0.9, "q must not exceed p"),
+    ],
+)
+def test_graph_from_edges_checks_n_p_q_like_generate_sbm(n, p, q, match):
+    # each of these used to build a graph: the first two saved text that
+    # load_graph rejects, and n = -2 gave empty offsets
+    with pytest.raises(ValueError, match=match):
+        graph_from_edges(n, [], p=p, q=q)
+    with pytest.raises(ValueError, match=match):
+        load_graph(io.StringIO(f"sbm {n} {p} {q} 0\n"))
+
+
+@pytest.mark.parametrize(
     "edges",
     [
         [(0.5, 1)],

@@ -36,6 +36,8 @@ from votedyn import (
 
 from . import oracles
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # --- rules ---
 
@@ -191,7 +193,7 @@ def test_step_is_deterministic_given_generator_state():
 def test_step_stream_layout_is_state_independent():
     # the rng must advance identically for any opinion state, so per-trial
     # streams stay aligned whatever trajectory is realized; every step draws
-    # nv*m uniforms, also on a graph without edges
+    # exactly nv*m/2 raw 64-bit words, also on a graph without edges
     graphs = [graph_from_edges(3, [(0, 1), (2, 3)]), graph_from_edges(3, [])]  # 4,5 / all isolated
     s_a = state_from_member(np.isin(np.arange(6), [0, 4]))
     s_b = state_from_member(np.isin(np.arange(6), [1, 2, 3]))
@@ -202,8 +204,9 @@ def test_step_stream_layout_is_state_independent():
             r3 = np.random.default_rng(9)
             step(g, s_a, rule, r1)
             step(g, s_b, rule, r2)
-            r3.random((g.num_vertices, rule.draws))
-            assert r1.random() == r2.random() == r3.random(), (rule.name, g.num_edges)
+            r3.bit_generator.random_raw(g.num_vertices * rule.draws // 2)
+            raw = [r.bit_generator.random_raw() for r in (r1, r2, r3)]
+            assert raw[0] == raw[1] == raw[2], (rule.name, g.num_edges)
 
 
 def _reference_step_probabilities(g, member, rule):
@@ -260,38 +263,58 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
                 assert got.tobytes() == want.tobytes(), (rule.name, nv)
 
 
-def _sample_count(rule):
-    # neighbour samples per vertex, parsed from the sampler tag
-    return {"bo2": 2, "bo3": 3}.get(rule.sampler) or int(rule.sampler.removeprefix("best_of_"))
+def _reference_step_sampling(g, member, rule, bitgen):
+    # the documented map in Python ints: the step's nv*m/2 raw words, split
+    # low half first, give 32-bit word j*nv + v to vertex v's j-th sample,
+    # which reads neighbour (word * deg) >> 32; bo2 adopts the two samples'
+    # opinion when they agree, and isolated vertices keep their own
+    m = rule.draws
+    nv = g.num_vertices
+    words = []
+    for w in bitgen.random_raw(nv * m // 2).tolist():
+        words += (w & 0xFFFFFFFF, w >> 32)
+    new = member.copy()
+    for v in range(nv):
+        nbrs = g.neighbors[g.offsets[v] : g.offsets[v + 1]].tolist()
+        if not nbrs:
+            continue
+        ones = sum(bool(member[nbrs[(words[j * nv + v] * len(nbrs)) >> 32]]) for j in range(m))
+        if rule.sampler == "bo2":
+            new[v] = member[v] if ones == 1 else ones == 2
+        else:
+            new[v] = ones > m // 2
+    return new
 
 
-def _reference_step_sampling(g, member, rule, rng):
-    # the row-layout sampling kernel: an (nv, m) index array, a row sum of the
-    # votes, and bo2's adopt-if-both-samples-agree choice written with np.where
-    m = _sample_count(rule)
-    deg = np.diff(g.offsets)
-    safe = np.maximum(deg, 1)
-    u = rng.random((g.num_vertices, m))
-    if g.neighbors.size == 0:
-        return member.copy()
-    idx = np.floor(u * safe[:, None]).astype(np.int64)
-    np.minimum(idx, (safe - 1)[:, None], out=idx)
-    flat = np.minimum(g.offsets[:-1][:, None] + idx, g.neighbors.size - 1)
-    ones = member[g.neighbors[flat]].sum(axis=1)
-    if rule.sampler == "bo2":
-        new = np.where(ones == 2, True, np.where(ones == 0, False, member))
-    else:
-        new = ones > m // 2
-    return np.where(deg == 0, member, new)
+def _ceil_div(a, b):
+    return -(-a // b)
 
 
-def test_largest_uniform_indexes_the_last_neighbour():
-    # Generator.random returns multiples of 2^-53 below 1, and a rounded
-    # product is monotone in u, so if the largest uniform maps degree d to
-    # index d - 1, no uniform maps past the last neighbour
-    assert np.nextafter(1.0, 0.0) == 1.0 - 2.0**-53
-    deg = np.arange(1, 2**20 + 1, dtype=np.int64)
-    assert np.array_equal((np.nextafter(1.0, 0.0) * deg).astype(np.int64), deg - 1)
+def test_multiply_shift_hits_each_neighbour_almost_equally():
+    # Every neighbour of a degree-d vertex is hit by floor(2^32/d) or
+    # ceil(2^32/d) of the 2^32 words, so its probability is 1/d within a
+    # relative bias below d/2^32 (at most 1.2e-7 at degree 500). The words
+    # w with (w * d) >> 32 == k are those with k * 2^32 <= w * d < (k+1) * 2^32.
+    rng = np.random.default_rng(0)
+    degrees = list(range(1, 65))
+    degrees += [2**j + e for j in range(6, 31) for e in (-1, 1)] + [2**31 - 1]
+    for d in degrees:
+        if d <= 64:
+            ks = range(d)
+        else:
+            ks = sorted({0, 1, d // 2, d - 2, d - 1, *rng.integers(0, d, 20).tolist()})
+        counts = [_ceil_div((k + 1) * 2**32, d) - _ceil_div(k * 2**32, d) for k in ks]
+        assert set(counts) <= {2**32 // d, _ceil_div(2**32, d)}, d
+        if d <= 64:
+            assert sum(counts) == 2**32
+        assert ((2**32 - 1) * d) >> 32 == d - 1
+    # the kernel's numpy arithmetic (uint32 words times int64 degrees, then
+    # a shift) agrees with Python ints at the extremes
+    words = np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32)
+    degs = np.array([1, 2, 500, 2**31 - 1], dtype=np.int64)
+    got = (words[:, None] * degs) >> 32
+    assert got.dtype == np.int64
+    assert got.tolist() == [[(w * d) >> 32 for d in degs.tolist()] for w in words.tolist()]
 
 
 def test_polynomial_rules_have_no_sampling_step():
@@ -310,19 +333,19 @@ def test_step_sampling_matches_reference_bit_for_bit():
         for rule in rules:
             starts = np.random.default_rng(4)
             got_rng = np.random.Generator(np.random.Philox(21))
-            want_rng = np.random.Generator(np.random.Philox(21))
+            want_bitgen = np.random.Philox(21)
             s = state_from_member(starts.random(nv) < 0.5)
             want = s.member
             for t in range(200):
                 s = step_sampling(g, s, rule, got_rng)
-                want = _reference_step_sampling(g, want, rule, want_rng)
+                want = _reference_step_sampling(g, want, rule, want_bitgen)
                 assert s.member.dtype == want.dtype and s.member.shape == want.shape
                 assert s.member.tobytes() == want.tobytes(), (rule.name, nv, t)
                 if s.count1 + s.count2 in (0, nv):
                     # consensus is absorbing: restart both from a fresh state
                     s = state_from_member(starts.random(nv) < 0.5)
                     want = s.member
-            assert got_rng.bit_generator.random_raw() == want_rng.bit_generator.random_raw(), (rule.name, nv)
+            assert got_rng.bit_generator.random_raw() == want_bitgen.random_raw(), (rule.name, nv)
 
 
 def test_rule_coefficients_are_fixed_at_construction():
