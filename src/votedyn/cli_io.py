@@ -26,6 +26,9 @@ from . import voting_core as vc
 
 DEFAULT_SEED = 0xC0FFEE
 SVG_SIZE = 800.0
+# vector-field grid points per axis, one arrow each: a grid step of 0.002 or
+# more, at most 501^2 arrows (about 31 MB of SVG)
+MAX_GRID_AXIS = 501
 
 
 def resolve_seed(flag_value) -> int:
@@ -263,6 +266,8 @@ def cmd_sink_persist(args) -> int:
 def cmd_escape(args) -> int:
     cfg_file = load_config(args.config)
     cfg = _experiment_config(args, cfg_file, default_init="half_half", default_steps=1000)
+    if not 0.0 <= args.budget_c < math.inf:
+        raise ValueError(f"--budget-c must be a finite number >= 0, got {args.budget_c}")
     budget = args.budget
     if budget is None:
         budget = math.ceil(args.budget_c * math.log(cfg.n))
@@ -320,22 +325,20 @@ def render_vector_field(model: str, r: float, grid_step: float, space: str) -> s
     """Self-contained SVG phase portrait: one arrow per grid point with length
     proportional to the one-step displacement (capped at the cell size),
     fixed-point circles labeled by id, sinks filled, y pointing up."""
-    if grid_step <= 0 or grid_step > 1:
+    if not 0.0 < grid_step <= 1.0:
         raise ValueError("grid step must lie in (0,1]")
-    if space not in ("alpha", "delta"):
-        raise ValueError("space must be 'alpha' or 'delta'")
-    rule = vc.rule_from_name(model)
-    m = idyn.induced_map(rule, r, space=space)
+    # np.arange's point count is the ceiling of this ratio
+    if (1.0 + grid_step / 2.0) / grid_step > MAX_GRID_AXIS:
+        raise ValueError(f"grid step {grid_step:g} gives more than {MAX_GRID_AXIS} points per axis")
+    m = idyn.induced_map(vc.rule_from_name(model), r, space=space)
     axis = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
     g1, g2 = np.meshgrid(axis, axis)
     if space == "delta":
         keep = g1 + g2 <= 1.0 + 1e-9
         xs, ys = g1[keep], g2[keep]
-        fx, fy = idyn.eval_T_generic(m, (xs, ys))
     else:
         xs, ys = g1.ravel(), g2.ravel()
-        fx, fy = idyn.eval_H(m, (xs, ys))
-    fx, fy = np.asarray(fx, dtype=np.float64), np.asarray(fy, dtype=np.float64)
+    fx, fy = m.eval((xs, ys))
     dx, dy = fx - xs, fy - ys
     length = np.hypot(dx, dy)
     max_len = float(length.max())

@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 RESULTS_HEADER = "model,n,p,q,r,init,trial,seed,t_cons,timeout,final_opinion,peak_abs_delta2"
+# a fixed cap on worker processes, so which configs are accepted does not
+# depend on the host; a pool never has more workers than task chunks
+MAX_WORKERS = 64
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -72,8 +75,10 @@ class ExperimentConfig:
             raise ValueError("r must lie in [0,1]")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0,1]")
-        if self.n < 1 or self.trials < 1 or self.max_steps < 0 or self.workers < 1:
-            raise ValueError("n, trials >= 1; max_steps >= 0; workers >= 1")
+        if self.n < 1 or self.trials < 1 or self.max_steps < 0:
+            raise ValueError("n, trials >= 1; max_steps >= 0")
+        if not 1 <= self.workers <= MAX_WORKERS:
+            raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
         vc.rule_from_name(self.model)  # validates the name
         if isinstance(self.init, str):
             object.__setattr__(self, "init", vc.parse_init_family(self.init))
@@ -176,7 +181,7 @@ def run_trials(
     if cfg.workers > 1:
         # one chunk per worker, so a shared graph is pickled once per worker
         chunk = -(-len(tasks) // cfg.workers)
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+        with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunk)) as pool:
             records = list(pool.map(_run_one, tasks, chunksize=chunk))
     else:
         records = [_run_one(t) for t in tasks]
@@ -216,7 +221,10 @@ def sink_persistence(cfg: ExperimentConfig, epsilon: float = 0.1) -> dict:
     sink); refuses to run otherwise. Trials stop at their first exit from
     the epsilon-ball (Euclidean, delta coordinates) around the closed-form
     point, so consensus is only observed if it happens while inside.
+    epsilon must be a finite number > 0.
     """
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be a finite number > 0, got {epsilon}")
     r_star = fpa.threshold_r(cfg.model).analytic_r
     if cfg.r >= r_star:
         raise ValueError(

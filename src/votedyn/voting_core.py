@@ -1,16 +1,16 @@
-"""Polynomial voting rules and synchronous update steps.
+"""Sampling voting rules and the synchronous sampling step.
 
-A rule is a pair of polynomials (f1, f2) mapping [0,1] to [0,1]. At each
-synchronous step, a vertex v currently holding opinion 1 keeps it with
-probability f1(x) and a vertex holding opinion 2 switches with probability
-f2(x), where x = deg_A(v)/deg(v) is the fraction of v's neighbors holding
-opinion 1. Built-in rules also carry a sampling procedure (draw a few random
-neighbors with replacement and apply a majority criterion) whose outcome
-distribution is the polynomial description up to the neighbor draw: the
-multiply-shift map (w*deg) >> 32 on uniform 32-bit words w (Lemire, "Fast
-random integer generation in an interval", ACM TOMACS 2019) hits each
-neighbor with floor(2^32/deg) or ceil(2^32/deg) of the 2^32 words, a relative
-deviation from 1/deg below deg/2^32 (1.2e-7 at degree 500).
+Every rule is a sampling procedure: each vertex draws a few random neighbors
+with replacement and applies a majority criterion (bo2, bo3, best_of_<m>).
+Its law is a pair of polynomials (f1, f2) mapping [0,1] to [0,1]: a vertex v
+currently holding opinion 1 keeps it with probability f1(x) and a vertex
+holding opinion 2 switches with probability f2(x), where x = deg_A(v)/deg(v)
+is the fraction of v's neighbors holding opinion 1. The sampling step follows
+that law up to the neighbor draw: the multiply-shift map (w*deg) >> 32 on
+uniform 32-bit words w (Lemire, "Fast random integer generation in an
+interval", ACM TOMACS 2019) hits each neighbor with floor(2^32/deg) or
+ceil(2^32/deg) of the 2^32 words, a relative deviation from 1/deg below
+deg/2^32 (1.2e-7 at degree 500).
 
 Isolated vertices keep their opinion forever; they still consume their random
 words so the stream layout of a step never depends on the state.
@@ -37,16 +37,13 @@ __all__ = [
     "make_rule_bo3",
     "make_rule_bo2",
     "make_rule_best_of",
-    "make_rule_polynomial",
     "rule_from_name",
     "state_from_member",
     "fractions",
     "to_delta",
     "to_alpha",
     "step_probabilities",
-    "step_probability",
     "step_sampling",
-    "step",
     "run_until_consensus",
     "biased_global",
     "half_half",
@@ -66,31 +63,31 @@ STATUS_STOPPED = "stopped"
 
 @dataclass(eq=False)
 class VotingRule:
-    """Polynomial voting rule; coefficient lists are ascending in degree.
+    """Sampling rule named bo2, bo3 or best_of_<m>, with the polynomials of
+    its law; coefficient lists are ascending in degree.
 
-    sampler is None for arbitrary polynomial rules, or one of "bo2", "bo3",
-    "best_of_<m>" (m odd) to enable the neighbor-sampling step path. draws is
-    the sampler's neighbor samples per vertex, 0 without a sampler.
-    Coefficients are fixed at construction: the arrays are read-only copies.
+    draws is the rule's neighbor samples per vertex, parsed from name, so a
+    rule that cannot sample cannot be built. Coefficients are fixed at
+    construction: the arrays are read-only copies with at least 2 entries.
     Two rules compare equal only when they are the same object.
     """
 
     name: str
     f1_coeffs: np.ndarray
     f2_coeffs: np.ndarray
-    sampler: str | None = None
     draws: int = field(default=0, init=False)
     # Horner coefficients for step_probabilities: (f1, f2), or (f,) when the
     # two polynomials are bit-identical
     _horner: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
+        self.draws = _draws(self.name)
         self.f1_coeffs = np.array(self.f1_coeffs, dtype=np.float64, ndmin=1)
         self.f2_coeffs = np.array(self.f2_coeffs, dtype=np.float64, ndmin=1)
         grid = np.linspace(0.0, 1.0, RANGE_GRID + 1)
         for tag, coeffs in (("f1", self.f1_coeffs), ("f2", self.f2_coeffs)):
-            if coeffs.ndim != 1 or coeffs.size == 0:
-                raise ValueError(f"{tag} needs a non-empty 1-d coefficient list")
+            if coeffs.ndim != 1 or coeffs.size < 2:
+                raise ValueError(f"{tag} needs a 1-d list of at least 2 coefficients")
             coeffs.setflags(write=False)
             vals = npoly.polyval(grid, coeffs)
             # slack grows with the Horner forward-error bound so that exact
@@ -103,7 +100,12 @@ class VotingRule:
             self._horner = (f1,)
         else:
             self._horner = (f1, _horner_coeffs(self.f2_coeffs))
-        self.draws = 0 if self.sampler is None else _draws(self.sampler)
+
+    @property
+    def sampler(self) -> str:
+        # read-only alias of name for perfbench/spans.py, which parses it
+        # with its own _draws; both go when the benchmark reads draws
+        return self.name
 
     def f1(self, x):
         return npoly.polyval(x, self.f1_coeffs)
@@ -113,18 +115,14 @@ class VotingRule:
 
 
 def _horner_coeffs(coeffs: np.ndarray) -> tuple:
-    """Python floats, highest degree first. polyval starts from c[-1] + 0*x,
-    which turns a -0.0 leading coefficient into +0.0 for every x >= 0; adding
-    0.0 here does the same, so _horner matches polyval bit for bit."""
-    top, *rest = coeffs[::-1].tolist()
-    return (top + 0.0, *rest)
+    """Python floats, highest degree first."""
+    return tuple(coeffs[::-1].tolist())
 
 
 def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
     # polyval's operation order (c0 = c[-i] + c0*x) without its per-call
-    # argument checks and numpy-scalar coefficients
-    if len(coeffs) == 1:
-        return np.full(x.shape, coeffs[0])
+    # argument checks and numpy-scalar coefficients; bit for bit the same
+    # while the leading coefficient is non-zero, as in every built-in rule
     acc = x * coeffs[0]
     acc += coeffs[1]
     for c in coeffs[2:]:
@@ -136,7 +134,7 @@ def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
 def make_rule_bo3() -> VotingRule:
     """Majority of three neighbor samples (with replacement): f(x)=3x^2-2x^3."""
     c = np.array([0.0, 0.0, 3.0, -2.0])
-    return VotingRule(name="bo3", f1_coeffs=c, f2_coeffs=c.copy(), sampler="bo3")
+    return VotingRule(name="bo3", f1_coeffs=c, f2_coeffs=c.copy())
 
 
 def make_rule_bo2() -> VotingRule:
@@ -147,7 +145,6 @@ def make_rule_bo2() -> VotingRule:
         name="bo2",
         f1_coeffs=np.array([0.0, 2.0, -1.0]),
         f2_coeffs=np.array([0.0, 0.0, 1.0]),
-        sampler="bo2",
     )
 
 
@@ -163,12 +160,7 @@ def make_rule_best_of(k: int) -> VotingRule:
         for j in range(m - i + 1):
             coeffs[i + j] += c * math.comb(m - i, j) * (-1) ** j
     arr = np.array(coeffs, dtype=np.float64)
-    return VotingRule(name=f"best_of_{m}", f1_coeffs=arr, f2_coeffs=arr.copy(), sampler=f"best_of_{m}")
-
-
-def make_rule_polynomial(name: str, f1_coeffs, f2_coeffs) -> VotingRule:
-    """Arbitrary polynomial rule; steps use the probability path only."""
-    return VotingRule(name=name, f1_coeffs=f1_coeffs, f2_coeffs=f2_coeffs, sampler=None)
+    return VotingRule(name=f"best_of_{m}", f1_coeffs=arr, f2_coeffs=arr.copy())
 
 
 # the one spelling of each best_of_<m>: no leading zeros, no non-ASCII digits
@@ -177,8 +169,7 @@ _BEST_OF_M = tuple(str(k) for k in range(3, 26, 2))
 
 def _draws(name: str) -> int:
     """Neighbor samples per vertex of a named sampling rule: bo2, bo3, or
-    best_of_<m> for odd m from 3 to 25. Rule names and sampler tags share
-    this parse."""
+    best_of_<m> for odd m from 3 to 25."""
     if name in ("bo2", "bo3"):
         return int(name[2])
     m = name.removeprefix("best_of_")
@@ -246,13 +237,6 @@ def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarra
     return prob.clip(0.0, 1.0, out=prob)
 
 
-def step_probability(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) -> OpinionState:
-    """One synchronous step drawing each vertex against its exact probability."""
-    prob = step_probabilities(g, s, rule)
-    u = rng.random(g.num_vertices)
-    return state_from_member(u < prob)
-
-
 def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) -> OpinionState:
     """One synchronous step by sampling neighbors with replacement.
 
@@ -264,8 +248,6 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     relative deg(v)/2^32.
     """
     m = rule.draws
-    if not m:
-        raise ValueError("rule has no sampler tag; use step_probability")
     nv = g.num_vertices
     raw = rng.bit_generator.random_raw(nv * m // 2)
     if g.neighbors.size == 0:
@@ -283,22 +265,15 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     own = s.member.view(np.uint8)
     ones = own[g.neighbors[idx]].sum(axis=0, dtype=np.uint8)  # m <= 25
     threshold = m // 2
-    if rule.sampler == "bo2":
-        # keep the own opinion unless both samples oppose it: the majority
-        # of the own vote and the two samples
+    if m == 2:
+        # bo2, the only 2-draw rule, keeps the own opinion unless both
+        # samples oppose it: the majority of the own vote and the samples
         ones += own
         threshold = 1
     new = ones > threshold
     if isolated.size:
         new[isolated] = s.member[isolated]
     return state_from_member(new)
-
-
-def step(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) -> OpinionState:
-    """Default step path: sampling when the rule has one, else probabilities."""
-    if rule.sampler is not None:
-        return step_sampling(g, s, rule, rng)
-    return step_probability(g, s, rule, rng)
 
 
 @dataclass
@@ -347,7 +322,7 @@ def run_until_consensus(
             return Trajectory(records, STATUS_CONSENSUS, opinion, t, t)
         if t == max_steps:
             return Trajectory(records, STATUS_TIMEOUT, None, None, t)
-        s = step(g, s, rule, rng)
+        s = step_sampling(g, s, rule, rng)
         t += 1
 
 

@@ -200,6 +200,19 @@ def test_vector_field_delta_grid_below_threshold(tmp_path):
     assert stats["filled"] == 2  # axis sink and consensus
 
 
+def test_vector_field_grid_is_capped(tmp_path, capsys):
+    # a step of 0.002 gives 501 points per axis, the most accepted
+    cap = vd.cli_io.MAX_GRID_AXIS
+    assert cap == 501
+    out = tmp_path / "vf.svg"
+    # just above the cap, so a missing check stays a small render
+    for bad in ("0.0019", "5e-324", "nan", "0"):
+        assert main(["vector-field", "--model", "bo3", "--r", "0.1",
+                     "--grid-step", bad, "-o", str(out)]) == 2, bad
+        assert "error: grid step" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_vector_field_delta_grid_above_threshold(tmp_path):
     out = tmp_path / "vf.svg"
     assert main(["vector-field", "--model", "bo3", "--r", "0.166667",
@@ -312,11 +325,25 @@ def test_worst_case_csv_one_block_per_family(tmp_path):
 
 
 def test_escape_rejects_negative_budget(capsys):
-    code = main(["escape", "--model", "bo3", "--n", "50", "--p", "0.3", "--r", "0.05",
-                 "--init", "clustered(0.9,0)", "--kappa", "0.95", "--budget", "-1",
-                 "--trials", "1"])
+    common = ["escape", "--model", "bo3", "--n", "50", "--p", "0.3", "--r", "0.05",
+              "--init", "clustered(0.9,0)", "--kappa", "0.95", "--trials", "1"]
+    code = main([*common, "--budget", "-1"])
     assert code == 2
     assert "budget must be >= 0" in capsys.readouterr().err
+    # the step budget ceil(budget_c * ln n) needs a finite budget_c >= 0
+    for bad in ("inf", "nan", "-1"):
+        assert main([*common, "--budget-c", bad]) == 2, bad
+        assert "--budget-c must be a finite number >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "0", "-1"])
+def test_sink_persist_rejects_bad_epsilon(capsys, bad):
+    # nan never compares above a distance, so no trial would ever escape;
+    # a non-positive radius marks every trial escaped at t=0
+    code = main(["sink-persist", "--model", "bo3", "--n", "20", "--p", "0.4", "--r", "0.05",
+                 "--trials", "1", "--max-steps", "5", "--epsilon", bad])
+    assert code == 2
+    assert "epsilon must be a finite number > 0" in capsys.readouterr().err
 
 
 # --- goodness ---

@@ -26,7 +26,28 @@ from votedyn import (
     worst_case_scan,
     write_results_csv,
 )
-from votedyn.experiment_harness import RESULTS_HEADER
+from votedyn import experiment_harness
+from votedyn.cli_io import main
+from votedyn.experiment_harness import MAX_WORKERS, RESULTS_HEADER
+
+
+class _InlinePool:
+    """Stands in for ProcessPoolExecutor: records the pool sizes asked for
+    and maps in this process, so no worker is ever started."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks, chunksize=1):
+        return map(fn, tasks)
 
 
 def small_cfg(**overrides) -> ExperimentConfig:
@@ -97,6 +118,9 @@ def test_config_validation():
         small_cfg(max_steps=-1)
     with pytest.raises(ValueError):
         small_cfg(workers=0)
+    assert small_cfg(workers=MAX_WORKERS).workers == MAX_WORKERS
+    with pytest.raises(ValueError, match="workers"):
+        small_cfg(workers=MAX_WORKERS + 1)
 
 
 # --- run_trials ---
@@ -116,6 +140,28 @@ def test_run_trials_deterministic_and_exp_id_scoped():
 def test_run_trials_workers_byte_identical():
     cfg = small_cfg()
     assert run_trials(replace(cfg, workers=2), "exp1") == run_trials(cfg, "exp1")
+
+
+def test_pool_has_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(experiment_harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    cfg = small_cfg(trials=2, max_steps=5)
+    serial = run_trials(cfg, "exp1")
+    # 2 trials in 2 chunks of 1; 5 trials for 4 workers in 3 chunks of at most 2
+    assert run_trials(replace(cfg, workers=MAX_WORKERS), "exp1") == serial
+    assert run_trials(replace(cfg, workers=4, trials=5), "exp1")[:2] == serial
+    assert _InlinePool.sizes == [2, 3]
+
+
+def test_cli_rejects_workers_above_the_cap(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(experiment_harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr(_InlinePool, "sizes", [])
+    code = main(["sweep", "--model", "bo3", "--n", "20", "--p", "0.4", "--trials", "2",
+                 "--max-steps", "5", "--r-grid", "0.3", "--workers", str(MAX_WORKERS + 1),
+                 "-o", str(tmp_path / "sweep")])
+    assert code == 2
+    assert f"workers must lie in [1, {MAX_WORKERS}]" in capsys.readouterr().err
+    assert _InlinePool.sizes == []
 
 
 def test_run_trials_shared_graph():

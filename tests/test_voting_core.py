@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 from fractions import Fraction
@@ -22,11 +23,9 @@ from votedyn import (
     make_rule_best_of,
     make_rule_bo2,
     make_rule_bo3,
-    make_rule_polynomial,
     parse_init_family,
     run_until_consensus,
     state_from_member,
-    step,
     step_probabilities,
     step_sampling,
     to_alpha,
@@ -87,12 +86,15 @@ def test_best_of_frozen_values():
 
 
 def test_rule_range_validation():
-    with pytest.raises(ValueError):
-        make_rule_polynomial("bad", [0.0, 2.0], [0.0, 1.0])  # f1(1)=2
-    with pytest.raises(ValueError):
-        make_rule_polynomial("bad", [0.0, 1.0], [-0.5, 1.0])  # f2(0)<0
-    ok = make_rule_polynomial("id", [0.0, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="f1 leaves"):
+        vd.VotingRule("bo3", [0.0, 2.0], [0.0, 1.0])  # f1(1)=2
+    with pytest.raises(ValueError, match="f2 leaves"):
+        vd.VotingRule("bo3", [0.0, 1.0], [-0.5, 1.0])  # f2(0)<0
+    ok = vd.VotingRule("bo3", [0.0, 1.0], [0.0, 1.0])
     assert np.array_equal(ok.f1_coeffs, ok.f2_coeffs)
+    # every rule samples: a name without a sampling step cannot be built
+    with pytest.raises(ValueError, match="unknown rule name"):
+        vd.VotingRule("id", [0.0, 1.0], [0.0, 1.0])
 
 
 # --- states and coordinates ---
@@ -175,7 +177,7 @@ def test_sampler_empirical_frequencies_track_probabilities():
         hits = np.zeros(g.num_vertices)
         reps = 3000
         for _ in range(reps):
-            hits += step(g, s, rule, rng).member
+            hits += step_sampling(g, s, rule, rng).member
         # 5 sigma binomial envelope per vertex
         sigma = np.sqrt(np.maximum(P * (1 - P), 1e-12) / reps)
         assert np.all(np.abs(hits / reps - P) <= 5 * sigma + 1e-9), rule.name
@@ -185,8 +187,8 @@ def test_step_is_deterministic_given_generator_state():
     g = generate_sbm(40, 0.3, 0.1, seed=2)
     s = make_initial(g, vd.half_half(), np.random.default_rng(1))
     for rule in (make_rule_bo3(), make_rule_bo2(), make_rule_best_of(3)):
-        a = step(g, s, rule, np.random.default_rng(77))
-        b = step(g, s, rule, np.random.default_rng(77))
+        a = step_sampling(g, s, rule, np.random.default_rng(77))
+        b = step_sampling(g, s, rule, np.random.default_rng(77))
         assert np.array_equal(a.member, b.member)
 
 
@@ -202,8 +204,8 @@ def test_step_stream_layout_is_state_independent():
             r1 = np.random.default_rng(9)
             r2 = np.random.default_rng(9)
             r3 = np.random.default_rng(9)
-            step(g, s_a, rule, r1)
-            step(g, s_b, rule, r2)
+            step_sampling(g, s_a, rule, r1)
+            step_sampling(g, s_b, rule, r2)
             r3.bit_generator.random_raw(g.num_vertices * rule.draws // 2)
             raw = [r.bit_generator.random_raw() for r in (r1, r2, r3)]
             assert raw[0] == raw[1] == raw[2], (rule.name, g.num_edges)
@@ -244,10 +246,7 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
         make_rule_bo3(),
         make_rule_bo2(),
         make_rule_best_of(2),
-        make_rule_polynomial("asym", [0.1, 0.5, 0.2], [0.05, 0.3, 0.4]),
-        make_rule_polynomial("one", [0.4], [0.7]),
-        make_rule_polynomial("two", [0.2, 0.5], [0.1, 0.6]),
-        make_rule_polynomial("signed_zero", [-0.0, -0.0], [0.0, -0.0]),
+        make_rule_best_of(12),  # the widest rule
     ]
     rng = np.random.default_rng(8)
     for g in graphs:
@@ -279,7 +278,7 @@ def _reference_step_sampling(g, member, rule, bitgen):
         if not nbrs:
             continue
         ones = sum(bool(member[nbrs[(words[j * nv + v] * len(nbrs)) >> 32]]) for j in range(m))
-        if rule.sampler == "bo2":
+        if m == 2:  # bo2
             new[v] = member[v] if ones == 1 else ones == 2
         else:
             new[v] = ones > m // 2
@@ -317,12 +316,100 @@ def test_multiply_shift_hits_each_neighbour_almost_equally():
     assert got.tolist() == [[(w * d) >> 32 for d in degs.tolist()] for w in words.tolist()]
 
 
-def test_polynomial_rules_have_no_sampling_step():
-    rule = make_rule_polynomial("two", [0.2, 0.5], [0.1, 0.6])
-    assert rule.draws == 0
-    g = graph_from_edges(1, [(0, 1)])
-    with pytest.raises(ValueError, match="no sampler"):
-        step_sampling(g, state_from_member([True, False]), rule, np.random.default_rng(0))
+class _WordFeed:
+    """Stands in for a Generator: step_sampling reads its randomness only
+    through bit_generator.random_raw, which here returns chosen 32-bit words
+    in the step's (m, nv) layout, low half first."""
+
+    def __init__(self, words):
+        self.bit_generator = self
+        self._raw = np.ascontiguousarray(words, dtype="<u4").view("<u8").ravel()
+
+    def random_raw(self, size):
+        assert size == self._raw.size
+        return self._raw
+
+
+def _kernel_adoption_probs(rule, reps):
+    """Exact Pr[v holds opinion 1 after one step] of the real kernel, as a
+    Fraction, for each (graph, member, v) in reps. All d^m sample tuples of
+    every v run through one step_sampling call on disjoint copies of the
+    graphs, copy t feeding v, for each sample of tuple t with neighbour slot
+    k, the first or (alternately) the last word of slot k's bucket
+    [ceil(k*2^32/d), ceil((k+1)*2^32/d)). Tuple t weighs the product of its
+    slots' bucket sizes out of 2^(32m)."""
+    m = rule.draws
+    edges, member, targets, slot_words, weights, base = [], [], [], [], [], 0
+    for g, own, v in reps:
+        d = int(g.degrees[v])
+        # an isolated vertex still draws: one copy, one bucket of all 2^32 words
+        starts = [_ceil_div(k * 2**32, d) for k in range(d + 1)] if d else [0, 2**32]
+        bounds = np.array(starts, dtype=np.int64)
+        slots = np.indices((max(d, 1),) * m).reshape(m, -1)  # one tuple per column
+        copies = slots.shape[1]
+        nv = g.num_vertices
+        tail = np.repeat(np.arange(nv), g.degrees)
+        uv = np.stack([tail, g.neighbors])[:, tail < g.neighbors].T
+        shift = base + nv * np.arange(copies)
+        edges.append((uv[None] + shift[:, None, None]).reshape(-1, 2))
+        member.append(np.tile(own, copies))
+        targets.append(shift + v)
+        ends = (np.arange(m)[:, None] + np.arange(copies)) % 2
+        slot_words.append(np.where(ends, bounds[1:][slots] - 1, bounds[:-1][slots]))
+        # Python-int products: 2^(32m) overflows int64
+        weights.append(np.diff(bounds).astype(object)[slots].prod(axis=0))
+        base += nv * copies
+    words = np.zeros((m, base), dtype=np.uint32)
+    for t, w in zip(targets, slot_words):
+        words[:, t] = w
+    union = graph_from_edges(base // 2, np.concatenate(edges))
+    s = state_from_member(np.concatenate(member))
+    new = step_sampling(union, s, rule, _WordFeed(words)).member
+    return [Fraction(int(wt[new[t]].sum()), 2 ** (32 * m)) for t, wt in zip(targets, weights)]
+
+
+@functools.lru_cache(maxsize=1)
+def _vertex_patterns():
+    """Every (degree, own opinion, opinion-1 neighbour slots) on the graphs
+    with 2 and 4 vertices and a sample of those with 6, over every opinion
+    state, with one (graph, member, v) that shows it and its opinion-1
+    neighbour count. The pattern fixes the kernel's outcome for every word."""
+    graphs = [*oracles.enumerate_symmetric_graphs(2), *oracles.enumerate_symmetric_graphs(4)]
+    six = list(oracles.enumerate_symmetric_graphs(6))
+    graphs += six[::257] + six[-1:]  # the complete graph gives degree 5
+    patterns = {}
+    for neighbors in graphs:
+        g = as_graph(neighbors)
+        for member in all_states(g.num_vertices):
+            ones = member[g.neighbors]
+            for v in range(g.num_vertices):
+                row = ones[g.offsets[v] : g.offsets[v + 1]]
+                key = (int(g.degrees[v]), bool(member[v]), row.tobytes())
+                if key not in patterns:
+                    patterns[key] = ((g, member, v), int(row.sum()))
+    return patterns
+
+
+@pytest.mark.parametrize("tag", ["bo3", "bo2", 5])
+def test_step_sampling_exact_law_matches_oracle(tag):
+    # The kernel's exact adoption probability against the enumerated sampling
+    # law, one kernel pass per vertex pattern. A degree that divides 2^32
+    # gives equal buckets and the exact law; elsewhere each sample's slot
+    # law is off by under 1/2^32 per slot, so the gap is at most m*d/2^32.
+    rule = {"bo3": make_rule_bo3, "bo2": make_rule_bo2}.get(tag, lambda: make_rule_best_of(2))()
+    m = rule.draws
+    patterns = _vertex_patterns()
+    got = _kernel_adoption_probs(rule, [rep for rep, _deg_a in patterns.values()])
+    gaps = {}
+    for ((d, own, row), (_rep, deg_a)), p in zip(patterns.items(), got):
+        want = oracles.sampling_adoption_prob(d, deg_a, own, tag)
+        if d in (0, 1, 2, 4):
+            assert p == want, (d, own, row)
+        else:
+            assert abs(p - want) <= Fraction(m * d, 2**32), (d, own, row)
+        gaps[d] = max(gaps.get(d, 0), abs(p - want))
+    assert sorted(gaps) == [0, 1, 2, 3, 4, 5]
+    assert gaps[3] > 0 and gaps[5] > 0  # the inexact degrees are reached
 
 
 def test_step_sampling_matches_reference_bit_for_bit():
@@ -352,11 +439,9 @@ def test_rule_coefficients_are_fixed_at_construction():
     rule = make_rule_bo2()
     with pytest.raises(ValueError):
         rule.f1_coeffs[0] = 0.5  # read-only
-    with pytest.raises(ValueError):
-        make_rule_polynomial("empty", [], [0.5])
-    with pytest.raises(ValueError):
-        make_rule_polynomial("nested", [[0.5]], [0.5])
-    assert make_rule_polynomial("scalar", 0.5, 0.5).f1_coeffs.tolist() == [0.5]
+    for f1 in ([], [[0.5, 0.5]], [0.5], 0.5):  # empty, nested, one coefficient, scalar
+        with pytest.raises(ValueError, match="at least 2 coefficients"):
+            vd.VotingRule("bo3", f1, [0.0, 1.0])
 
 
 def test_rule_compares_by_identity():
@@ -372,7 +457,7 @@ def test_isolated_vertices_keep_opinion():
     g = graph_from_edges(2, [])
     s = state_from_member(np.array([True, False, True, False]))
     for rule in (make_rule_bo3(), make_rule_bo2(), make_rule_best_of(2)):
-        assert np.array_equal(step(g, s, rule, np.random.default_rng(0)).member, s.member)
+        assert np.array_equal(step_sampling(g, s, rule, np.random.default_rng(0)).member, s.member)
     assert step_probabilities(g, s, make_rule_bo3()) == pytest.approx([1, 0, 1, 0])
 
 
@@ -381,8 +466,8 @@ def test_consensus_states_are_absorbing():
     ones = state_from_member(np.ones(40, dtype=bool))
     zeros = state_from_member(np.zeros(40, dtype=bool))
     for rule in (make_rule_bo3(), make_rule_bo2()):
-        assert step(g, ones, rule, np.random.default_rng(0)).count1 == 20
-        assert step(g, zeros, rule, np.random.default_rng(0)).count1 == 0
+        assert step_sampling(g, ones, rule, np.random.default_rng(0)).count1 == 20
+        assert step_sampling(g, zeros, rule, np.random.default_rng(0)).count1 == 0
 
 
 # --- trajectories ---
