@@ -48,13 +48,17 @@ def _as_mask(nv: int, s) -> np.ndarray:
 
 
 def w_stat(g: Graph, s0, sets) -> float:
-    """Exact crossing-star count: sum over s0 of the product of per-set degrees."""
+    """Exact crossing-star count: sum over s0 of the product of per-set degrees.
+    A set object that appears more than once in sets is counted once."""
     if len(sets) < 1:
         raise ValueError("need at least one set")
     nv = g.num_vertices
     prod = np.ones(nv, dtype=np.int64)
+    counts = {}
     for s in sets:
-        prod *= g.count_in(_as_mask(nv, s))
+        if id(s) not in counts:
+            counts[id(s)] = g.count_in(_as_mask(nv, s))
+        prod *= counts[id(s)]
     return float(prod[_as_mask(nv, s0)].sum())
 
 
@@ -89,14 +93,46 @@ def _mask_pool(g: Graph, rng: np.random.Generator) -> list[np.ndarray]:
     return [np.ones(nv, dtype=bool), v1, ~v1, front, rand_small]
 
 
+def _check_graph(g: Graph) -> None:
+    # every probe normalizes by p, and the small-set scale by ln n
+    if g.n < 2 or g.p == 0:
+        raise ValueError("the probes need n >= 2 and p > 0")
+
+
+def _check_samples(samples: int) -> None:
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+
+
+def _check_order(l: int) -> None:
+    if l not in (1, 2, 3):
+        raise ValueError("l must be 1, 2, or 3")
+
+
+def _p3_sizes(g: Graph, sizes) -> list[int]:
+    """The small-set probe's |A| values: the given sizes, each in [1, 2n], or
+    by default {sqrt(n), n/ln n, 0.01*2n}."""
+    nv = g.num_vertices
+    n = g.n
+    if sizes is None:
+        sizes = [
+            max(1, round(math.sqrt(n))),
+            max(1, round(n / math.log(n))),
+            max(1, round(0.01 * nv)),
+        ]
+    sizes = [int(s) for s in sizes]
+    if any(s < 1 or s > nv for s in sizes):
+        raise ValueError("sizes must lie in [1, 2n]")
+    return sizes
+
+
 def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generator) -> float:
     """Max normalized |W - W_hat| over sampled tuples. The first two samples
     are the fully structured tuples (V; V,..) and (V1; V2,..); later slots mix
     pool picks (whole graph, communities, small sets) with uniform subsets."""
-    if l not in (1, 2, 3):
-        raise ValueError("l must be 1, 2, or 3")
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_order(l)
+    _check_samples(samples)
+    _check_graph(g)
     nv = g.num_vertices
     pool = _mask_pool(g, rng)
     norm = nv * (nv * g.p) ** (l - 0.5)
@@ -118,14 +154,20 @@ def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generato
     return float(worst)
 
 
-def _ratio_profile(g: Graph, a_mask: np.ndarray):
-    x = g.count_in(a_mask) / np.maximum(g.degrees, 1)
+def _ideal_ratios(g: Graph, a_mask: np.ndarray):
+    """Per-community counts (c1, c2) of a_mask and the ideal neighbor ratios
+    z_i = (c_i p + c_{3-i} q) / (n(p+q))."""
     c1 = int(np.count_nonzero(a_mask[: g.n]))
     c2 = int(np.count_nonzero(a_mask[g.n :]))
     denom = g.n * (g.p + g.q)
     z1 = (c1 * g.p + c2 * g.q) / denom
     z2 = (c2 * g.p + c1 * g.q) / denom
-    return x, (c1, c2), (z1, z2)
+    return (c1, c2), (z1, z2)
+
+
+def _ratio_profile(g: Graph, a_mask: np.ndarray):
+    x = g.count_in(a_mask) / np.maximum(g.degrees, 1)
+    return x, _ideal_ratios(g, a_mask)[1]
 
 
 def _community_sums(g: Graph, s_mask: np.ndarray, values: np.ndarray):
@@ -141,15 +183,15 @@ def _community_sums(g: Graph, s_mask: np.ndarray, values: np.ndarray):
 def p2_scan(g: Graph, rule: VotingRule, samples: int, rng: np.random.Generator) -> float:
     """Max over sampled (A, S, community, f in {f1,f2}) of
     |sum_{v in S∩V_i} f(x_v) - |S∩V_i| f(z_i)| / sqrt(n/p)."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
+    _check_graph(g)
     nv = g.num_vertices
     norm = math.sqrt(g.n / g.p)
     pool = _mask_pool(g, rng)
     worst = 0.0
     for _ in range(samples):
         a_mask = rng.random(nv) < rng.uniform(0.05, 0.95)
-        x, _, (z1, z2) = _ratio_profile(g, a_mask)
+        x, (z1, z2) = _ratio_profile(g, a_mask)
         s_choices = [pool[0], pool[1], pool[2], a_mask, ~a_mask, rng.random(nv) < 0.5]
         s_mask = s_choices[rng.integers(len(s_choices))]
         for f in (rule.f1, rule.f2):
@@ -174,19 +216,11 @@ def p3_scan(
     (sum_{v in S∩V_i} f(x_v) - |S∩V_i| f(z_i)) / (|A| sqrt(ln n/(np))),
     with |A| cycling {sqrt(n), n/ln n, 0.01*2n} (or the given sizes) and
     S in {A, V\\A, V}."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
+    _check_samples(samples)
+    _check_graph(g)
+    sizes = _p3_sizes(g, sizes)
     nv = g.num_vertices
     n = g.n
-    if sizes is None:
-        sizes = [
-            max(1, round(math.sqrt(n))),
-            max(1, round(n / math.log(n))),
-            max(1, round(0.01 * nv)),
-        ]
-    sizes = [int(s) for s in sizes]
-    if any(s < 1 or s > nv for s in sizes):
-        raise ValueError("sizes must lie in [1, 2n]")
     scale = math.sqrt(math.log(n) / (n * g.p))
     full = np.ones(nv, dtype=bool)
     worst = 0.0
@@ -194,7 +228,7 @@ def p3_scan(
         size = sizes[k % len(sizes)]
         a_mask = np.zeros(nv, dtype=bool)
         a_mask[rng.permutation(nv)[:size]] = True
-        x, _, (z1, z2) = _ratio_profile(g, a_mask)
+        x, (z1, z2) = _ratio_profile(g, a_mask)
         for s_mask in (a_mask, ~a_mask, full):
             for f in (rule.f1, rule.f2):
                 fx = f(x)
@@ -211,13 +245,14 @@ def variance_profile(g: Graph, rule: VotingRule, states) -> float:
     """Max over states and communities of the normalized gap between the exact
     one-step variance of |A'_i| and its ideal |A_i| g1(z_i) + (n-|A_i|) g2(z_i),
     where g_k(x) = f_k(x)(1 - f_k(x)); normalization sqrt(n/p)."""
+    _check_graph(g)
     n = g.n
     norm = math.sqrt(n / g.p)
     worst = 0.0
     for s in states:
         prob = step_probabilities(g, s, rule)
         var_terms = prob * (1.0 - prob)
-        x, (c1, c2), (z1, z2) = _ratio_profile(g, s.member)
+        (c1, c2), (z1, z2) = _ideal_ratios(g, s.member)
         for lo, hi, cnt, z in ((0, n, c1, z1), (n, 2 * n, c2, z2)):
             exact = float(var_terms[lo:hi].sum())
             g1 = rule.f1(z) * (1.0 - rule.f1(z))
@@ -236,7 +271,13 @@ def goodness_report(
     p3_sizes=None,
 ) -> dict:
     """Run every probe on one graph and collect the empirical constants;
-    the variance probe uses 20 random states."""
+    the variance probe uses 20 random states. The graph and every argument
+    are checked before anything is drawn."""
+    _check_graph(g)
+    _check_samples(samples)
+    for l in w_orders:
+        _check_order(l)
+    p3_sizes = _p3_sizes(g, p3_sizes)
     states = [
         state_from_member(rng.random(g.num_vertices) < rng.uniform(0.05, 0.95))
         for _ in range(20)

@@ -302,10 +302,22 @@ def save_graph(g: Graph, dest) -> None:
 
 def _write_graph(g: Graph, fh) -> None:
     fh.write(f"sbm {g.n} {g.p!r} {g.q!r} {g.seed}\n")
-    src = np.repeat(np.arange(g.num_vertices), g.degrees)
+    nv = g.num_vertices
+    src = np.repeat(np.arange(nv), g.degrees)
     keep = src < g.neighbors
-    flat = np.column_stack((src[keep], g.neighbors[keep])).ravel().tolist()
-    fh.write("%d %d\n" * g.num_edges % tuple(flat))
+    # every id's decimal text, padded with NUL bytes to the widest id; each
+    # line is a fixed-width record `u v\n` gathered from that table, and the
+    # pad bytes are dropped from the whole buffer at once
+    w = len(str(nv - 1))
+    text = np.arange(nv).astype(f"S{w}")
+    record = [("u", f"S{w}"), ("sp", "S1"), ("v", f"S{w}"), ("nl", "S1")]
+    lines = np.empty(g.num_edges, dtype=record)
+    lines["u"] = text[src[keep]]
+    lines["sp"] = b" "
+    lines["v"] = text[g.neighbors[keep]]
+    lines["nl"] = b"\n"
+    raw = lines.view(np.uint8)
+    fh.write(raw[raw != 0].tobytes().decode("ascii"))
 
 
 def load_graph(source) -> Graph:

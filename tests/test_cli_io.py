@@ -361,6 +361,34 @@ def test_goodness_report_file(tmp_path):
     assert set(doc["w_max_normalized_dev"]) == {"1", "2", "3"}
 
 
+@pytest.mark.parametrize(
+    "graph, extra, match",
+    [
+        # ln 1 = 0 divided the default |A| = n/ln n
+        (["--n", "1", "--p", "0.5", "--q", "0.1"], [], "n >= 2 and p > 0"),
+        # the small-set scale was 0, and the report held a bare Infinity
+        (["--n", "1", "--p", "0.5", "--q", "0.1"], ["--sizes", "1"], "n >= 2 and p > 0"),
+        # sqrt(n / p) divided by zero
+        (["--n", "10", "--p", "0", "--q", "0"], [], "n >= 2 and p > 0"),
+        # rejected before any probe runs, not after three of them
+        (["--n", "30", "--p", "0.4", "--q", "0.1"], ["--l", "4"], "l must be 1, 2, or 3"),
+        (["--n", "30", "--p", "0.4", "--q", "0.1"], ["--sizes", "61"], "sizes must lie in"),
+    ],
+)
+def test_goodness_rejects_what_the_probes_cannot_run(monkeypatch, capsys, tmp_path,
+                                                     graph, extra, match):
+    def no_count(self, mask):
+        raise AssertionError("a probe ran before the arguments were checked")
+
+    monkeypatch.setattr(vd.Graph, "count_in", no_count)
+    out = tmp_path / "good.json"
+    code = main(["goodness", *graph, "--graph-seed", "1", "--rule", "bo3",
+                 "--samples", "5", "--seed", "3", *extra, "-o", str(out)])
+    assert code == 2
+    assert match in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_goodness_runs_on_tiny_graph(tmp_path):
     # no constant assertions at this size; the probe just has to complete
     out = tmp_path / "tiny.json"

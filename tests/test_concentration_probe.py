@@ -26,6 +26,7 @@ from votedyn import (
     w_hat,
     w_stat,
 )
+from votedyn.sbm_graph import Graph
 
 from . import oracles
 
@@ -181,3 +182,71 @@ def test_goodness_report_custom_orders():
         g, make_rule_bo3(), samples=5, rng=np.random.default_rng(2), w_orders=(1, 2)
     )
     assert set(rep["w_max_normalized_dev"]) == {"1", "2"}
+
+
+# --- neighbour counts the probes make ---
+
+
+@pytest.fixture
+def count_in_calls(monkeypatch):
+    calls = []
+    original = Graph.count_in
+
+    def counting(self, mask):
+        calls.append(mask)
+        return original(self, mask)
+
+    monkeypatch.setattr(Graph, "count_in", counting)
+    return calls
+
+
+def test_variance_profile_counts_once_per_state(count_in_calls):
+    g = generate_sbm(40, 0.4, 0.1, seed=3)
+    rng = np.random.default_rng(0)
+    states = [state_from_member(rng.random(80) < 0.5) for _ in range(3)]
+    variance_profile(g, make_rule_bo3(), states)
+    assert len(count_in_calls) == 3
+
+
+def test_w_stat_counts_a_repeated_set_once(count_in_calls):
+    g = generate_sbm(40, 0.4, 0.1, seed=3)
+    m = np.random.default_rng(1).random(80) < 0.5
+    got = w_stat(g, m, [m, m, m])
+    assert len(count_in_calls) == 1
+    deg = g.count_in(m).astype(np.int64)
+    assert got == float((deg**3)[m].sum())
+    # equal masks that are distinct objects are each counted
+    count_in_calls.clear()
+    assert w_stat(g, m, [m, m.copy()]) == float((deg**2)[m].sum())
+    assert len(count_in_calls) == 2
+
+
+def test_goodness_report_count_budget(count_in_calls):
+    # p2 and p3: one count per sample; variance: one per state (20); the W
+    # scans at l = 1, 2, 3: at most l per sample, one for each of the two
+    # structured samples
+    g = generate_sbm(60, 0.3, 0.09, seed=5)
+    goodness_report(g, make_rule_bo3(), samples=5, rng=np.random.default_rng(9))
+    assert len(count_in_calls) <= 5 + 5 + 20 + (5 + 8 + 11)
+
+
+@pytest.mark.parametrize(
+    "graph, kwargs, match",
+    [
+        ((1, 0.5, 0.1), {}, "n >= 2 and p > 0"),
+        ((1, 0.5, 0.1), {"p3_sizes": [1]}, "n >= 2 and p > 0"),
+        ((10, 0.0, 0.0), {}, "n >= 2 and p > 0"),
+        ((20, 0.4, 0.1), {"w_orders": (1, 4)}, "l must be 1, 2, or 3"),
+        ((20, 0.4, 0.1), {"p3_sizes": [41]}, "sizes must lie in"),
+        ((20, 0.4, 0.1), {"samples": 0}, "samples must be >= 1"),
+    ],
+)
+def test_goodness_report_rejects_before_drawing(count_in_calls, graph, kwargs, match):
+    g = generate_sbm(*graph, seed=1)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    kwargs = {"samples": 5, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        goodness_report(g, make_rule_bo3(), rng=rng, **kwargs)
+    assert rng.bit_generator.state == before
+    assert count_in_calls == []

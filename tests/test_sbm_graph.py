@@ -308,6 +308,40 @@ def test_save_load_round_trip_exact():
     assert np.array_equal(g2.offsets, g.offsets)
 
 
+def _expected_text(g: Graph) -> str:
+    # the format spelled out line by line, one u < v pair at a time
+    pairs = sorted(edge_set(g))
+    body = "".join(f"{u} {v}\n" for u, v in pairs)
+    return f"sbm {g.n} {g.p!r} {g.q!r} {g.seed}\n" + body
+
+
+@pytest.mark.parametrize("n", [5, 50, 500])
+def test_save_text_matches_line_by_line_format(n):
+    # nv = 10, 100, 1000: the largest id is the last one of its digit width,
+    # and ids on both sides of every width change carry edges
+    nv = 2 * n
+    marks = [k for k in (1, 10, 100) if k < nv]
+    edges = {(0, nv - 1), (nv - 2, nv - 1)}
+    edges |= {(k - 1, k) for k in marks}
+    edges |= {(k, nv - 1) for k in marks}
+    for g in (graph_from_edges(n, sorted(edges), p=0.5, q=0.1, seed=3),
+              generate_sbm(n, 0.2, 0.05, seed=n)):
+        text = _saved(g)
+        assert text == _expected_text(g)
+        g2 = load_graph(io.StringIO(text))
+        assert np.array_equal(g2.offsets, g.offsets)
+        assert np.array_equal(g2.neighbors, g.neighbors)
+
+
+def test_save_text_without_edges_and_with_isolated_last_vertex():
+    for g in (graph_from_edges(1, []), graph_from_edges(3, []),
+              graph_from_edges(3, [(0, 1), (2, 4)])):
+        text = _saved(g)
+        assert text == _expected_text(g)
+        g2 = load_graph(io.StringIO(text))
+        assert edge_set(g2) == edge_set(g) and g2.num_vertices == g.num_vertices
+
+
 def test_save_load_paths(tmp_path):
     g = generate_sbm(25, 0.4, 0.2, seed=5)
     path = tmp_path / "g.txt"
