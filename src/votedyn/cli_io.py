@@ -127,8 +127,7 @@ def _records_json(records) -> list[dict]:
 
 def cmd_generate(args) -> int:
     g = sbm_graph.generate_sbm(args.n, args.p, args.q, resolve_seed(args.seed))
-    with open(args.output, "w") as fh:
-        sbm_graph.save_graph(g, fh)
+    sbm_graph.save_graph(g, args.output)
     stats = sbm_graph.degree_stats(g)
     print(
         f"n={g.n} vertices={g.num_vertices} edges={g.num_edges} "
@@ -141,8 +140,7 @@ def cmd_generate(args) -> int:
 
 def _graph_from_args(args, master_seed: int) -> sbm_graph.Graph:
     if args.graph:
-        with open(args.graph) as fh:
-            return sbm_graph.load_graph(fh)
+        return sbm_graph.load_graph(args.graph)
     if args.n is None or args.p is None:
         raise ValueError("need --graph or inline --n/--p parameters")
     if args.q is not None:

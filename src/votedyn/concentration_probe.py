@@ -109,6 +109,28 @@ def _check_order(l: int) -> None:
         raise ValueError("l must be 1, 2, or 3")
 
 
+def _positive_finite(name: str, value: float) -> float:
+    # a normaliser that underflows to 0 or overflows to inf would end a
+    # probe in a division by zero or report a silent 0.0
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"the probe normaliser {name} = {value!r} is not a positive finite number")
+    return value
+
+
+def _w_norm(g: Graph, l: int) -> float:
+    nv = g.num_vertices
+    return _positive_finite(f"N(Np)^({l}-1/2)", nv * (nv * g.p) ** (l - 0.5))
+
+
+def _sqrt_norm(g: Graph) -> float:
+    return _positive_finite("sqrt(n/p)", math.sqrt(g.n / g.p))
+
+
+def _p3_norms(g: Graph, sizes: list[int]) -> list[float]:
+    scale = math.sqrt(math.log(g.n) / (g.n * g.p))
+    return [_positive_finite("|A| sqrt(ln n/(np))", size * scale) for size in sizes]
+
+
 def _p3_sizes(g: Graph, sizes) -> list[int]:
     """The small-set probe's |A| values: the given sizes, each in [1, 2n], or
     by default {sqrt(n), n/ln n, 0.01*2n}."""
@@ -133,9 +155,9 @@ def w_concentration_scan(g: Graph, l: int, samples: int, rng: np.random.Generato
     _check_order(l)
     _check_samples(samples)
     _check_graph(g)
+    norm = _w_norm(g, l)
     nv = g.num_vertices
     pool = _mask_pool(g, rng)
-    norm = nv * (nv * g.p) ** (l - 0.5)
     worst = 0.0
     for k in range(samples):
         if k == 0:
@@ -186,7 +208,7 @@ def p2_scan(g: Graph, rule: VotingRule, samples: int, rng: np.random.Generator) 
     _check_samples(samples)
     _check_graph(g)
     nv = g.num_vertices
-    norm = math.sqrt(g.n / g.p)
+    norm = _sqrt_norm(g)
     pool = _mask_pool(g, rng)
     worst = 0.0
     for _ in range(samples):
@@ -219,13 +241,12 @@ def p3_scan(
     _check_samples(samples)
     _check_graph(g)
     sizes = _p3_sizes(g, sizes)
+    norms = _p3_norms(g, sizes)
     nv = g.num_vertices
-    n = g.n
-    scale = math.sqrt(math.log(n) / (n * g.p))
     full = np.ones(nv, dtype=bool)
     worst = 0.0
     for k in range(samples):
-        size = sizes[k % len(sizes)]
+        size, norm = sizes[k % len(sizes)], norms[k % len(sizes)]
         a_mask = np.zeros(nv, dtype=bool)
         a_mask[rng.permutation(nv)[:size]] = True
         x, (z1, z2) = _ratio_profile(g, a_mask)
@@ -235,8 +256,8 @@ def p3_scan(
                 (sum1, cnt1), (sum2, cnt2) = _community_sums(g, s_mask, fx)
                 worst = max(
                     worst,
-                    (sum1 - cnt1 * f(z1)) / (size * scale),
-                    (sum2 - cnt2 * f(z2)) / (size * scale),
+                    (sum1 - cnt1 * f(z1)) / norm,
+                    (sum2 - cnt2 * f(z2)) / norm,
                 )
     return float(max(worst, 0.0))
 
@@ -247,7 +268,7 @@ def variance_profile(g: Graph, rule: VotingRule, states) -> float:
     where g_k(x) = f_k(x)(1 - f_k(x)); normalization sqrt(n/p)."""
     _check_graph(g)
     n = g.n
-    norm = math.sqrt(n / g.p)
+    norm = _sqrt_norm(g)
     worst = 0.0
     for s in states:
         prob = step_probabilities(g, s, rule)
@@ -271,13 +292,16 @@ def goodness_report(
     p3_sizes=None,
 ) -> dict:
     """Run every probe on one graph and collect the empirical constants;
-    the variance probe uses 20 random states. The graph and every argument
-    are checked before anything is drawn."""
+    the variance probe uses 20 random states. The graph, every argument and
+    every probe's normaliser are checked before anything is drawn."""
     _check_graph(g)
     _check_samples(samples)
     for l in w_orders:
         _check_order(l)
+        _w_norm(g, l)
+    _sqrt_norm(g)
     p3_sizes = _p3_sizes(g, p3_sizes)
+    _p3_norms(g, p3_sizes)
     states = [
         state_from_member(rng.random(g.num_vertices) < rng.uniform(0.05, 0.95))
         for _ in range(20)

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import itertools
 import math
-import warnings
 
 import numpy as np
 
@@ -282,7 +281,7 @@ def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 
     if arr.size and (arr.min() < 0 or arr.max() >= nv):
         raise ValueError("edge endpoint out of range")
     s, dtype = _key_layout(nv)
-    u, v = arr.astype(dtype).T
+    u, v = arr.astype(dtype, copy=False).T
     if (u == v).any():
         raise ValueError("self loops are not allowed")
     keys = np.empty(2 * u.size, dtype=dtype)
@@ -300,33 +299,64 @@ def save_graph(g: Graph, dest) -> None:
         _write_graph(g, fh)
 
 
+# directed neighbor entries per write block, and characters per read block;
+# either bounds the text buffers of one block
+WRITE_BLOCK = 1 << 16
+READ_BLOCK = 1 << 18
+
+
 def _write_graph(g: Graph, fh) -> None:
     fh.write(f"sbm {g.n} {g.p!r} {g.q!r} {g.seed}\n")
     nv = g.num_vertices
-    src = np.repeat(np.arange(nv), g.degrees)
-    keep = src < g.neighbors
     # every id's decimal text, padded with NUL bytes to the widest id; each
     # line is a fixed-width record `u v\n` gathered from that table, and the
-    # pad bytes are dropped from the whole buffer at once
+    # pad bytes are dropped from each block's buffer
     w = len(str(nv - 1))
     text = np.arange(nv).astype(f"S{w}")
     record = [("u", f"S{w}"), ("sp", "S1"), ("v", f"S{w}"), ("nl", "S1")]
-    lines = np.empty(g.num_edges, dtype=record)
-    lines["u"] = text[src[keep]]
-    lines["sp"] = b" "
-    lines["v"] = text[g.neighbors[keep]]
-    lines["nl"] = b"\n"
-    raw = lines.view(np.uint8)
-    fh.write(raw[raw != 0].tobytes().decode("ascii"))
+    offsets = g.offsets
+    lo = 0
+    while lo < nv:
+        # consecutive vertices with about WRITE_BLOCK entries in all; a
+        # vertex of larger degree is a block of its own
+        hi = int(np.searchsorted(offsets, offsets[lo] + WRITE_BLOCK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        src = np.repeat(np.arange(lo, hi), g.degrees[lo:hi])
+        dst = g.neighbors[offsets[lo] : offsets[hi]]
+        keep = src < dst
+        lines = np.empty(int(np.count_nonzero(keep)), dtype=record)
+        lines["u"] = text[src[keep]]
+        lines["sp"] = b" "
+        lines["v"] = text[dst[keep]]
+        lines["nl"] = b"\n"
+        raw = lines.view(np.uint8)
+        fh.write(raw[raw != 0].tobytes().decode("ascii"))
+        lo = hi
 
 
 def load_graph(source) -> Graph:
     """Parse and validate the edge-list format written by save_graph.
-    source is a path or an open text handle."""
+    source is a path or an open text handle.
+
+    After the header, each line holds either nothing or exactly two vertex
+    ids separated by blanks. An id is one or more ASCII digits; a blank is a
+    space, tab or carriage return; a line ends with a line feed or the end
+    of the file. Any other character, such as a sign, a decimal point, an
+    exponent or a comment, makes the file invalid."""
     if hasattr(source, "read"):
         return _read_graph(source)
     with open(source, "r", encoding="ascii") as fh:
         return _read_graph(fh)
+
+
+# byte classes of the body text: 0 is not allowed, then digit, blank and
+# line feed
+_DIGIT, _BLANK, _NEWLINE = 1, 2, 3
+_BYTE_CLASS = np.zeros(256, dtype=np.uint8)
+_BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
+_BYTE_CLASS[np.frombuffer(b" \t\r", dtype=np.uint8)] = _BLANK
+_BYTE_CLASS[ord("\n")] = _NEWLINE
+_BAD_LINE = "each edge line must hold exactly two integer vertex ids"
 
 
 def _read_graph(fh) -> Graph:
@@ -335,8 +365,49 @@ def _read_graph(fh) -> Graph:
         raise ValueError("bad header: expected `sbm n p q seed`")
     n, p, q, seed = int(header[1]), float(header[2]), float(header[3]), int(header[4])
     _check_sbm_params(n, p, q)
-    with warnings.catch_warnings():
-        # a header-only file is a valid graph without edges
-        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-        edges = np.loadtxt(fh, dtype=np.int64, comments=None, ndmin=2)
+    nv = 2 * n
+    dtype = _key_layout(nv)[1]
+    blocks = []
+    tail = []  # the pieces of a line that no block has ended yet
+    while chunk := fh.read(READ_BLOCK):
+        # a non-ASCII character becomes "?", which the byte classes reject
+        data = chunk.encode("ascii", "replace")
+        cut = data.rfind(b"\n") + 1
+        if cut:
+            blocks.append(_parse_lines(b"".join([*tail, data[:cut]]), nv, dtype))
+            tail = []
+        tail.append(data[cut:])
+    blocks.append(_parse_lines(b"".join(tail) + b"\n", nv, dtype))
+    edges = np.concatenate(blocks)
+    del blocks  # not held through the graph build
     return graph_from_edges(n, edges, p=p, q=q, seed=seed)
+
+
+def _parse_lines(data: bytes, nv: int, dtype) -> np.ndarray:
+    # data is whole lines, the last one ending in a line feed; returns their
+    # (u, v) pairs as an (E, 2) array of dtype
+    cls = np.take(_BYTE_CLASS, np.frombuffer(data, dtype=np.uint8))
+    if not cls.all():
+        raise ValueError(_BAD_LINE)
+    digit = cls == _DIGIT
+    first = digit.copy()
+    first[1:] &= ~digit[:-1]
+    # token starts and line feeds in position order: the tokens of a line
+    # form one run between two line feeds, and every run must hold exactly
+    # two, so no token may have tokens on both sides or on neither side
+    marks = np.flatnonzero(first | (cls == _NEWLINE))
+    token = np.zeros(marks.size + 2, dtype=bool)
+    token[1:-1] = cls[marks] == _DIGIT
+    if (token[1:-1] & (token[:-2] == token[2:])).any():
+        raise ValueError(_BAD_LINE)
+    count = int(np.count_nonzero(token))
+    if not count:
+        return np.empty((0, 2), dtype=dtype)
+    # fromstring saturates an id too long for int64 at 2**63 - 1, which the
+    # range check rejects
+    ids = np.fromstring(data, dtype=np.int64, sep=" ")
+    if ids.size != count:
+        raise ValueError(_BAD_LINE)
+    if ids.max() >= nv:
+        raise ValueError("edge endpoint out of range")
+    return ids.astype(dtype).reshape(-1, 2)

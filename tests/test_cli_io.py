@@ -69,11 +69,18 @@ def test_generate_rejects_q_above_p(tmp_path, capsys):
         ("2 2\n", "self loops"),
         ("0 1\n1 0\n", "duplicate"),
         ("0 1\n0 1\n", "duplicate"),
+        # signs, exponents and over-long ids are rejected, not coerced
+        ("-0 1\n", "two integer"),
+        ("+1 2\n", "two integer"),
+        ("1e3 2\n", "two integer"),
+        ("1" * 25 + " 2\n", "out of range"),
+        ("0 1\x00\n", "two integer"),
+        ("\uff11 2\n", "codec can't decode"),  # not ASCII
     ],
 )
 def test_bad_graph_file_exits_2(tmp_path, capsys, body, message):
     g = tmp_path / "g.txt"
-    g.write_text("sbm 2 0.5 0.1 0\n" + body)
+    g.write_text("sbm 2 0.5 0.1 0\n" + body, encoding="utf-8")
     assert main(["simulate", "--graph", str(g), "--model", "bo3", "--seed", "1"]) == 2
     assert message in capsys.readouterr().err
 
@@ -373,6 +380,10 @@ def test_goodness_report_file(tmp_path):
         # rejected before any probe runs, not after three of them
         (["--n", "30", "--p", "0.4", "--q", "0.1"], ["--l", "4"], "l must be 1, 2, or 3"),
         (["--n", "30", "--p", "0.4", "--q", "0.1"], ["--sizes", "61"], "sizes must lie in"),
+        # N(Np)^(l-1/2) underflowed to 0: a ZeroDivisionError traceback, exit 1
+        (["--n", "3", "--p", "1e-300", "--q", "0"], [], "is not a positive finite number"),
+        # sqrt(n/p) was inf, and the p2, p3 and variance probes reported 0.0
+        (["--n", "3", "--p", "5e-324", "--q", "0"], ["--l", "1"], "sqrt(n/p) = inf"),
     ],
 )
 def test_goodness_rejects_what_the_probes_cannot_run(monkeypatch, capsys, tmp_path,

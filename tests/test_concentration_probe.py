@@ -239,6 +239,12 @@ def test_goodness_report_count_budget(count_in_calls):
         ((20, 0.4, 0.1), {"w_orders": (1, 4)}, "l must be 1, 2, or 3"),
         ((20, 0.4, 0.1), {"p3_sizes": [41]}, "sizes must lie in"),
         ((20, 0.4, 0.1), {"samples": 0}, "samples must be >= 1"),
+        # N(Np)^(l-1/2) underflows to 0 at l = 2: a ZeroDivisionError after
+        # three probes had run
+        ((3, 1e-300, 0.0), {}, "N\\(Np\\)\\^\\(2-1/2\\) = 0.0 is not a positive finite"),
+        ((3, 1e-300, 0.0), {"w_orders": (1,)}, None),
+        # sqrt(n/p) is inf, so the p2 and variance probes reported 0.0
+        ((3, 5e-324, 0.0), {"w_orders": (1,)}, "sqrt\\(n/p\\) = inf is not a positive finite"),
     ],
 )
 def test_goodness_report_rejects_before_drawing(count_in_calls, graph, kwargs, match):
@@ -246,7 +252,34 @@ def test_goodness_report_rejects_before_drawing(count_in_calls, graph, kwargs, m
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     kwargs = {"samples": 5, **kwargs}
+    if match is None:
+        # every normaliser in use is positive and finite
+        goodness_report(g, make_rule_bo3(), rng=rng, **kwargs)
+        return
     with pytest.raises(ValueError, match=match):
         goodness_report(g, make_rule_bo3(), rng=rng, **kwargs)
+    assert rng.bit_generator.state == before
+    assert count_in_calls == []
+
+
+_HALF = state_from_member(np.arange(6) < 3)
+
+
+@pytest.mark.parametrize(
+    "p, probe, match",
+    [
+        (1e-300, lambda g, rng: w_concentration_scan(g, 2, 5, rng), "N\\(Np\\)"),
+        (1e-300, lambda g, rng: w_concentration_scan(g, 3, 5, rng), "N\\(Np\\)"),
+        (5e-324, lambda g, rng: p2_scan(g, make_rule_bo3(), 5, rng), "sqrt\\(n/p\\)"),
+        (5e-324, lambda g, rng: p3_scan(g, make_rule_bo3(), 5, rng), "ln n"),
+        (5e-324, lambda g, rng: variance_profile(g, make_rule_bo3(), [_HALF]), "sqrt\\(n/p\\)"),
+    ],
+)
+def test_each_scan_checks_its_normaliser_before_drawing(count_in_calls, p, probe, match):
+    g = generate_sbm(3, p, 0.0, seed=1)
+    rng = np.random.default_rng(4)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"{match}.* is not a positive finite number"):
+        probe(g, rng)
     assert rng.bit_generator.state == before
     assert count_in_calls == []
