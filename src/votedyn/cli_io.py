@@ -9,6 +9,7 @@ variable, else the fixed default 0xC0FFEE; nothing is ever time-seeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 from dataclasses import replace
 import json
 import math
@@ -40,19 +41,16 @@ def resolve_seed(flag_value) -> int:
     return DEFAULT_SEED
 
 
-def _open_out(path):
+def _output(path):
+    """A context manager: standard output for None or "-", else the file at path."""
     if path is None or path == "-":
-        return sys.stdout, False
-    return open(path, "w"), True
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w")
 
 
 def _emit(path, text: str) -> None:
-    fh, close = _open_out(path)
-    try:
+    with _output(path) as fh:
         fh.write(text)
-    finally:
-        if close:
-            fh.close()
 
 
 # ---------------------------------------------------------------- config files
@@ -160,13 +158,10 @@ def cmd_simulate(args) -> int:
     family = vc.parse_init_family(args.init)
     rng = np.random.Generator(np.random.Philox(seed))
     s0 = vc.make_initial(g, family, rng)
-    traj = vc.run_until_consensus(g, s0, rule, args.max_steps, rng)
-    fh, close = _open_out(args.output)
-    try:
-        vc.write_trajectory_csv(traj, fh)
-    finally:
-        if close:
-            fh.close()
+    if args.max_steps < 0:
+        raise ValueError("max_steps must be >= 0")  # before the output exists
+    with _output(args.output) as fh:
+        traj = vc.write_trajectory_csv(g, s0, rule, args.max_steps, rng, fh)
     status = traj.status if traj.t_cons is None else f"consensus at t={traj.t_cons}"
     print(f"simulate: {status}", file=sys.stderr)
     return 0

@@ -306,7 +306,7 @@ def goodness_report(
         state_from_member(rng.random(g.num_vertices) < rng.uniform(0.05, 0.95))
         for _ in range(20)
     ]
-    report = {
+    return {
         "rule": rule.name,
         "n": g.n,
         "p": g.p,
@@ -320,4 +320,3 @@ def goodness_report(
             for l in w_orders
         },
     }
-    return report

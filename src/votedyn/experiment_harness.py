@@ -105,23 +105,6 @@ class TrialRecord:
     alphas: list | None = field(default=None, repr=False)
 
 
-def _stop_for(task: dict):
-    """The stopping event of an escape or sink trial, as a predicate on the
-    community fractions; None for consensus and deviation trials."""
-    if task["mode"] == "escape":
-        kappa = task["kappa"]
-        return lambda a1, a2: abs(vc.to_delta(a1, a2)[1]) > kappa
-    if task["mode"] == "sink":
-        (c1, c2), epsilon = task["center"], task["epsilon"]
-
-        def escaped(a1, a2):
-            d1, d2 = vc.to_delta(a1, a2)
-            return math.hypot(d1 - c1, d2 - c2) > epsilon
-
-        return escaped
-    return None
-
-
 def _run_one(task: dict) -> TrialRecord:
     g = task["graph"]
     if g is None:
@@ -129,19 +112,37 @@ def _run_one(task: dict) -> TrialRecord:
     rng = np.random.Generator(np.random.Philox(task["seed"]))
     s = vc.make_initial(g, task["init"], rng)
     rule = vc.rule_from_name(task["model"])
-    traj = vc.run_until_consensus(g, s, rule, task["max_steps"], rng, stop=_stop_for(task))
-    stopped_at = traj.steps_run if traj.status == vc.STATUS_STOPPED else None
     mode = task["mode"]
+    peak = 0.0
+    alphas = [] if mode == "deviation" else None
+
+    def observe(_t, a1, a2):
+        # peak |delta2| so far; true at the stopping event of an escape or
+        # sink trial
+        nonlocal peak
+        d1, d2 = vc.to_delta(a1, a2)
+        peak = max(peak, abs(d2))
+        if alphas is not None:
+            alphas.append((a1, a2))
+        if mode == "escape":
+            return abs(d2) > task["kappa"]
+        if mode == "sink":
+            (c1, c2), epsilon = task["center"], task["epsilon"]
+            return math.hypot(d1 - c1, d2 - c2) > epsilon
+        return False
+
+    traj = vc.run_until_consensus(g, s, rule, task["max_steps"], rng, observe=observe)
+    stopped_at = traj.steps_run if traj.status == vc.STATUS_STOPPED else None
     return TrialRecord(
         trial=task["trial"],
         seed=task["seed"],
         t_cons=traj.t_cons,
         timeout=traj.t_cons is None,
         final_opinion=traj.final_opinion,
-        peak_abs_delta2=max(abs(vc.to_delta(a1, a2)[1]) for _t, a1, a2 in traj.records),
+        peak_abs_delta2=peak,
         tau_kappa=stopped_at if mode == "escape" else None,
         escaped_at=stopped_at if mode == "sink" else None,
-        alphas=[(a1, a2) for _t, a1, a2 in traj.records] if mode == "deviation" else None,
+        alphas=alphas,
     )
 
 

@@ -235,16 +235,8 @@ class FixedPointReport:
 
     def to_json_dict(self) -> dict:
         if not self.exists:
-            return {
-                "id": self.id,
-                "exists": False,
-                "location": None,
-                "jacobian": None,
-                "eigenvalues": None,
-                "singular_values": None,
-                "class": None,
-                "residual": None,
-            }
+            fields = ("location", "jacobian", "eigenvalues", "singular_values", "class", "residual")
+            return {"id": self.id, "exists": False, **dict.fromkeys(fields)}
         l1, l2 = self.eigenvalues
         return {
             "id": self.id,

@@ -61,10 +61,7 @@ class InducedMap:
     space: str
 
     def eval(self, x):
-        x1, x2 = x[0], x[1]
-        if self.space == "alpha":
-            return eval_H(self, (x1, x2))
-        return eval_T_generic(self, (x1, x2))
+        return eval_H(self, x) if self.space == "alpha" else eval_T_generic(self, x)
 
 
 def induced_map(rule: VotingRule, r: float, space: str = "delta") -> InducedMap:

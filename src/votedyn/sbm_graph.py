@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 import itertools
 import math
+import re
 
 import numpy as np
 
@@ -191,7 +192,7 @@ def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed:
     offsets = np.searchsorted(keys, np.arange(0, (2 * n + 1) << s, 1 << s, dtype=keys.dtype))
     keys &= (1 << s) - 1
     neighbors = keys.astype(np.int64, copy=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors, p=p, q=q, seed=seed)
+    return Graph(n=n, offsets=offsets, neighbors=neighbors, p=float(p), q=float(q), seed=seed)
 
 
 def _require_int(name: str, value) -> int:
@@ -342,7 +343,9 @@ def load_graph(source) -> Graph:
     ids separated by blanks. An id is one or more ASCII digits; a blank is a
     space, tab or carriage return; a line ends with a line feed or the end
     of the file. Any other character, such as a sign, a decimal point, an
-    exponent or a comment, makes the file invalid."""
+    exponent or a comment, makes the file invalid. The header is as exact:
+    n and seed are digits with an optional minus sign, and p and q unsigned
+    decimals with an optional exponent, such as 0.5, 1e-05 or 2.5E+3."""
     if hasattr(source, "read"):
         return _read_graph(source)
     with open(source, "r", encoding="ascii") as fh:
@@ -357,11 +360,13 @@ _BYTE_CLASS[np.frombuffer(b"0123456789", dtype=np.uint8)] = _DIGIT
 _BYTE_CLASS[np.frombuffer(b" \t\r", dtype=np.uint8)] = _BLANK
 _BYTE_CLASS[ord("\n")] = _NEWLINE
 _BAD_LINE = "each edge line must hold exactly two integer vertex ids"
+_DECIMAL = r"([0-9]+\.?[0-9]*(?:[eE][-+]?[0-9]+)?)"
+_HEADER = re.compile(rf"sbm[ \t]+(-?[0-9]+)[ \t]+{_DECIMAL}[ \t]+{_DECIMAL}[ \t]+(-?[0-9]+)[ \t\r]*\n?")
 
 
 def _read_graph(fh) -> Graph:
-    header = fh.readline().split()
-    if len(header) != 5 or header[0] != "sbm":
+    header = _HEADER.fullmatch(fh.readline())
+    if header is None:
         raise ValueError("bad header: expected `sbm n p q seed`")
     n, p, q, seed = int(header[1]), float(header[2]), float(header[3]), int(header[4])
     _check_sbm_params(n, p, q)

@@ -278,12 +278,9 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
 
 @dataclass
 class Trajectory:
-    """Per-step opinion fractions and the terminal status of a run.
+    """The terminal status of a run; the states it visited went to the
+    observer, if any, and are not kept."""
 
-    records holds (t, alpha1, alpha2) for every visited state.
-    """
-
-    records: list
     status: str
     final_opinion: int | None
     t_cons: int | None
@@ -296,42 +293,45 @@ def run_until_consensus(
     rule: VotingRule,
     max_steps: int,
     rng: np.random.Generator,
-    stop=None,
+    observe=None,
 ) -> Trajectory:
     """Iterate steps until the opinion-1 set is empty or everything.
 
-    Each visited state is checked in turn against stop(alpha1, alpha2), when
-    given (status "stopped"), consensus (t_cons is the first such step index),
-    and the budget of max_steps steps (status "timeout"). Stops and timeouts
-    are results, not errors.
+    Each visited state is passed to observe(t, alpha1, alpha2), when given,
+    and a true return ends the run (status "stopped"); then come consensus
+    (t_cons is the first such step index) and the budget of max_steps steps
+    (status "timeout"). Stops and timeouts are results, not errors. The loop
+    keeps nothing per step.
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     nv = g.num_vertices
-    records = []
     s = s0
     t = 0
     while True:
-        a1, a2 = fractions(s)
-        records.append((t, a1, a2))
         total = s.count1 + s.count2
-        if stop is not None and stop(a1, a2):
-            return Trajectory(records, STATUS_STOPPED, None, None, t)
+        if observe is not None and observe(t, *fractions(s)):
+            return Trajectory(STATUS_STOPPED, None, None, t)
         if total == 0 or total == nv:
             opinion = 1 if total == nv else 2
-            return Trajectory(records, STATUS_CONSENSUS, opinion, t, t)
+            return Trajectory(STATUS_CONSENSUS, opinion, t, t)
         if t == max_steps:
-            return Trajectory(records, STATUS_TIMEOUT, None, None, t)
+            return Trajectory(STATUS_TIMEOUT, None, None, t)
         s = step_sampling(g, s, rule, rng)
         t += 1
 
 
 @dataclass(frozen=True)
 class InitFamily:
-    """Named initial-condition family with numeric parameters."""
+    """Named initial-condition family with finite numeric parameters."""
 
     kind: str
     params: tuple = ()
+
+    def __post_init__(self):
+        # chained comparisons: math.isfinite overflows on a huge int
+        if not all(-math.inf < x < math.inf for x in self.params):
+            raise ValueError(f"init family {self} needs finite parameters")
 
     def __str__(self):
         if not self.params:
@@ -350,11 +350,15 @@ def half_half() -> InitFamily:
 
 
 def clustered(d1: float, d2: float) -> InitFamily:
-    """Counts matching delta coordinates: |A_i| = round(n(1+d2±d1)/2)."""
+    """Counts matching delta coordinates: |A_i| = round(n*alpha_i), with
+    (alpha_1, alpha_2) = to_alpha(d1, d2)."""
     return InitFamily("clustered", (float(d1), float(d2)))
 
 
 def exact_counts(c1: int, c2: int) -> InitFamily:
+    """Exact per-community counts; a fractional count is rejected, not rounded."""
+    if not all(isinstance(c, (int, np.integer)) or float(c).is_integer() for c in (c1, c2)):
+        raise ValueError(f"exact_counts needs integer counts, got ({c1}, {c2})")
     return InitFamily("exact_counts", (int(c1), int(c2)))
 
 
@@ -378,9 +382,7 @@ def parse_init_family(text: str) -> InitFamily:
         raise ValueError(f"unknown init family: {kind!r}")
     if len(params) != known[kind]:
         raise ValueError(f"{kind} expects {known[kind]} parameter(s)")
-    if kind == "exact_counts":
-        params = tuple(int(p) for p in params)
-    return InitFamily(kind, params)
+    return exact_counts(*params) if kind == "exact_counts" else InitFamily(kind, params)
 
 
 def _pick(rng: np.random.Generator, n: int, count: int, base: int, member: np.ndarray) -> None:
@@ -397,19 +399,19 @@ def make_initial(g: Graph, family: InitFamily, rng: np.random.Generator) -> Opin
             raise ValueError("density must lie in [0,1]")
         return state_from_member(rng.random(2 * n) < rho)
 
-    if family.kind == "biased_global":
-        b = family.params[0]
-        c1 = c2 = round(n * (1 + b) / 2)
-    elif family.kind == "half_half":
-        c1 = c2 = round(n / 2)
-    elif family.kind == "clustered":
-        d1, d2 = family.params
-        c1 = round(n * (1 + d2 + d1) / 2)
-        c2 = round(n * (1 + d2 - d1) / 2)
-    elif family.kind == "exact_counts":
+    if family.kind == "exact_counts":
         c1, c2 = family.params
     else:
-        raise ValueError(f"unknown init family: {family.kind!r}")
+        if family.kind == "biased_global":
+            a1 = a2 = (1 + family.params[0]) / 2
+        elif family.kind == "half_half":
+            a1 = a2 = 0.5
+        elif family.kind == "clustered":
+            a1, a2 = to_alpha(*family.params)
+        else:
+            raise ValueError(f"unknown init family: {family.kind!r}")
+        # a huge finite parameter takes n*a to inf, which round() refuses
+        c1, c2 = (round(x) if math.isfinite(x) else x for x in (n * a1, n * a2))
 
     if not (0 <= c1 <= n and 0 <= c2 <= n):
         raise ValueError(f"init family {family} needs counts in [0, {n}], got ({c1}, {c2})")
@@ -419,14 +421,21 @@ def make_initial(g: Graph, family: InitFamily, rng: np.random.Generator) -> Opin
     return state_from_member(member)
 
 
-def write_trajectory_csv(traj: Trajectory, fh) -> None:
-    """Header t,alpha1,alpha2,delta1,delta2; floats with 9 significant digits;
-    a final comment line carries the terminal status."""
+def write_trajectory_csv(
+    g: Graph, s0: OpinionState, rule: VotingRule, max_steps: int, rng: np.random.Generator, fh
+) -> Trajectory:
+    """Run until consensus and write the trajectory as it goes: header
+    t,alpha1,alpha2,delta1,delta2, one row per visited state with floats to 9
+    significant digits, and a final comment line with the terminal status."""
     fh.write("t,alpha1,alpha2,delta1,delta2\n")
-    for t, a1, a2 in traj.records:
+
+    def row(t, a1, a2):
         d1, d2 = to_delta(a1, a2)
         fh.write(f"{t},{a1:.9g},{a2:.9g},{d1:.9g},{d2:.9g}\n")
+
+    traj = run_until_consensus(g, s0, rule, max_steps, rng, observe=row)
     if traj.status == STATUS_CONSENSUS:
         fh.write(f"# status=consensus opinion={traj.final_opinion} t_cons={traj.t_cons}\n")
     else:
         fh.write(f"# status={traj.status} steps={traj.steps_run}\n")
+    return traj

@@ -10,7 +10,10 @@ import numpy as np
 import pytest
 
 import votedyn as vd
+from votedyn import experiment_harness
 from votedyn.cli_io import main
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def svg_stats(path) -> dict:
@@ -147,6 +150,56 @@ def test_simulate_full_set_is_instant_consensus(tmp_path, capsys):
     assert lines[-1].endswith("t_cons=0")
     # header, the t=0 row, and the status comment
     assert len(lines) == 3
+
+
+def test_simulate_rejected_max_steps_leaves_no_file(tmp_path, capsys):
+    # the trajectory is written while the run goes, so every check comes
+    # before the output file is opened
+    out = tmp_path / "f.csv"
+    code = main(["simulate", "--n", "5", "--p", "0.5", "--q", "0.1", "--model", "bo3",
+                 "--max-steps", "-1", "--seed", "1", "-o", str(out)])
+    assert code == 2
+    assert "max_steps must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+_BAD_INITS = [
+    "biased_global(inf)",
+    "clustered(inf,0)",
+    "exact_counts(inf,0)",
+    "exact_counts(1e400,0)",
+    "exact_counts(1.5,2)",
+    "random_density(nan)",
+]
+
+
+@pytest.mark.parametrize("init", _BAD_INITS)
+def test_simulate_rejects_non_finite_or_fractional_init(tmp_path, capsys, init):
+    # the first four used to exit 1 with an OverflowError traceback, and
+    # exact_counts(1.5,2) ran as (1, 2)
+    out = tmp_path / "t.csv"
+    code = main(["simulate", "--n", "5", "--p", "0.5", "--q", "0.1", "--model", "bo3",
+                 "--init", init, "--seed", "1", "-o", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite parameters" in err or "integer counts" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["sweep", "worst-case"])
+@pytest.mark.parametrize("init", _BAD_INITS)
+def test_experiments_reject_bad_init_before_any_trial(tmp_path, monkeypatch, capsys, command, init):
+    def no_trials(*_args, **_kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment_harness, "run_trials", no_trials)
+    r = ["--r-grid" if command == "sweep" else "--r", "0.2"]
+    code = main([command, "--model", "bo3", "--n", "5", "--p", "0.5", *r,
+                 "--init", init, "--trials", "1", "-o", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "finite parameters" in err or "integer counts" in err
+    assert not (tmp_path / "out").exists()
 
 
 # --- analyze ---

@@ -6,6 +6,7 @@ import csv
 import hashlib
 import io
 import math
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -29,6 +30,8 @@ from votedyn import (
 from votedyn import experiment_harness
 from votedyn.cli_io import main
 from votedyn.experiment_harness import MAX_WORKERS, RESULTS_HEADER
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 class _InlinePool:
@@ -332,3 +335,30 @@ def test_write_results_csv_no_header_append():
     buf = io.StringIO()
     write_results_csv(cfg, recs, buf, header=False)
     assert not buf.getvalue().startswith("model")
+
+
+def _sink_trial_peak(steps: int) -> int:
+    # one sink trial on an edgeless graph (n = 1 has no intra pairs and r = 0
+    # no cross pairs) whose two vertices hold opposite opinions for ever: it
+    # stays at the centre and runs its whole horizon
+    cfg = ExperimentConfig(
+        model="bo3", n=1, p=0.5, r=0.0, init=vd.exact_counts(1, 0), trials=1, max_steps=steps
+    )
+    tracemalloc.start()
+    try:
+        (rec,) = run_trials(
+            cfg, "memory", mode="sink", mode_params={"center": (1.0, 0.0), "epsilon": 0.5}
+        )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rec.timeout and rec.escaped_at is None and rec.peak_abs_delta2 == 0.0
+    return peak
+
+
+def test_sink_trial_memory_does_not_grow_with_the_horizon():
+    # the run loop keeps nothing per step: ten times the horizon stays within
+    # 1 MiB of peak traced memory (a per-step record list grew it by ~7 MiB)
+    small = _sink_trial_peak(5_000)
+    large = _sink_trial_peak(50_000)
+    assert large - small < 1 << 20, (small, large)

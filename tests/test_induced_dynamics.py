@@ -27,6 +27,8 @@ from votedyn import (
 
 from . import oracles
 
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 # d-points with d1, d2 >= 0 and d1 + d2 <= 1 (the analysis quadrant).
 quadrant_points = st.tuples(

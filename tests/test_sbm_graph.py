@@ -380,6 +380,62 @@ def test_load_rejects_malformed_input():
             load_graph(io.StringIO("sbm 2 0.5 0.1 0\n" + body))
 
 
+@given(
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.floats(0.0, 1.0, allow_subnormal=True),
+    st.integers(-(2**63), 2**63 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_header_round_trips_every_p_q_and_seed(x, y, seed):
+    p, q = max(x, y), min(x, y)
+    for pp, qq in ((p, q), (np.float64(p), np.float32(q) if float(np.float32(q)) <= p else q)):
+        g = graph_from_edges(2, [(0, 1)], p=pp, q=qq, seed=seed)
+        assert type(g.p) is float and type(g.q) is float
+        g2 = load_graph(io.StringIO(_saved(g)))
+        assert (g2.p, g2.q, g2.seed) == (g.p, g.q, g.seed)
+
+
+def test_numpy_probabilities_save_a_readable_header():
+    # np.float64(0.5) used to reach the header as `np.float64(0.5)`
+    g = generate_sbm(3, np.float64(0.5), np.float32(0.125), 1)
+    assert _saved(g).splitlines()[0] == "sbm 3 0.5 0.125 1"
+    assert load_graph(io.StringIO(_saved(g))).p == 0.5
+
+
+@pytest.mark.parametrize(
+    "header",
+    [
+        "sbm +2 0.5 0.1 0",
+        "sbm 1_0 0.5 0.1 0",  # int() read this as n = 10
+        "sbm \uff12 0.5 0.1 0",  # a fullwidth digit two
+        "sbm 2 0.5_0 0.1 0",
+        "sbm 2 +0.5 0.1 0",
+        "sbm 2 .5 0.1 0",
+        "sbm 2 0.5 0.1 +3",
+        "sbm 2 0.5 0.1 3.0",
+        "sbm 2 nan 0.1 0",
+        "sbm 2 0.5 0.1",
+        "sbm 2 0.5 0.1 0 0",
+        " sbm 2 0.5 0.1 0",
+        "SBM 2 0.5 0.1 0",
+    ],
+)
+def test_load_rejects_headers_outside_the_grammar(header):
+    with pytest.raises(ValueError, match="bad header"):
+        load_graph(io.StringIO(header + "\n0 1\n"))
+
+
+def test_load_accepts_the_header_grammar():
+    for header, want in [
+        ("sbm 2 0.5 0.1 0", (2, 0.5, 0.1, 0)),
+        ("sbm 2 1 0 -7", (2, 1.0, 0.0, -7)),
+        ("sbm 02 5E-1 1e-05 3\r", (2, 0.5, 1e-05, 3)),
+        ("sbm\t2 \t1. 2.5e-3  9 ", (2, 1.0, 0.0025, 9)),
+    ]:
+        g = load_graph(io.StringIO(header + "\n0 1\n"))
+        assert (g.n, g.p, g.q, g.seed) == want
+
+
 def test_load_accepts_blank_lines_and_no_edges():
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -473,13 +473,23 @@ def test_consensus_states_are_absorbing():
 # --- trajectories ---
 
 
+def _observer(seen, stop=lambda a1, a2: False):
+    # keeps every visited state in seen; ends the run where stop holds
+    def observe(t, a1, a2):
+        seen.append((t, a1, a2))
+        return stop(a1, a2)
+
+    return observe
+
+
 def test_run_until_consensus_from_full_set_is_immediate():
     g = generate_sbm(15, 0.4, 0.1, seed=0)
     s = state_from_member(np.ones(30, dtype=bool))
-    traj = run_until_consensus(g, s, make_rule_bo3(), 10, np.random.default_rng(0))
+    seen = []
+    traj = run_until_consensus(g, s, make_rule_bo3(), 10, np.random.default_rng(0), observe=_observer(seen))
     assert traj.status == vd.STATUS_CONSENSUS
     assert traj.final_opinion == 1 and traj.t_cons == 0
-    assert traj.records == [(0, 1.0, 1.0)]
+    assert seen == [(0, 1.0, 1.0)]
     s = state_from_member(np.zeros(30, dtype=bool))
     traj = run_until_consensus(g, s, make_rule_bo3(), 10, np.random.default_rng(0))
     assert traj.final_opinion == 2 and traj.t_cons == 0
@@ -497,36 +507,47 @@ def test_run_until_consensus_timeout_is_a_result():
 def test_run_until_consensus_records_every_step_when_asked():
     g = generate_sbm(50, 0.3, 0.05, seed=3)
     s = make_initial(g, vd.biased_global(0.3), np.random.default_rng(1))
-    traj = run_until_consensus(g, s, make_rule_bo3(), 200, np.random.default_rng(2))
+    seen = []
+    traj = run_until_consensus(g, s, make_rule_bo3(), 200, np.random.default_rng(2), observe=_observer(seen))
     assert traj.status == vd.STATUS_CONSENSUS
-    assert len(traj.records) == traj.t_cons + 1
-    ts = [row[0] for row in traj.records]
+    assert len(seen) == traj.t_cons + 1
+    ts = [row[0] for row in seen]
     assert ts == list(range(traj.t_cons + 1))
+    # the run keeps no per-step state of its own
+    assert not hasattr(traj, "records")
 
 
-def test_run_until_consensus_stop_predicate():
+def test_run_until_consensus_observer_can_stop_the_run():
     g = generate_sbm(50, 0.3, 0.05, seed=3)
     s = make_initial(g, vd.biased_global(0.3), np.random.default_rng(1))
     rule = make_rule_bo3()
-    full = run_until_consensus(g, s, rule, 200, np.random.default_rng(2))
-    assert full.t_cons >= 2
+    full = []
+    traj = run_until_consensus(g, s, rule, 200, np.random.default_rng(2), observe=_observer(full))
+    assert traj.t_cons >= 2
     # at t=0
-    traj = run_until_consensus(g, s, rule, 200, np.random.default_rng(2), stop=lambda a1, a2: True)
+    seen = []
+    traj = run_until_consensus(
+        g, s, rule, 200, np.random.default_rng(2), observe=_observer(seen, lambda a1, a2: True)
+    )
     assert traj.status == vd.STATUS_STOPPED
     assert (traj.steps_run, traj.t_cons, traj.final_opinion) == (0, None, None)
-    assert traj.records == full.records[:1]
+    assert seen == full[:1]
     # mid-run: the first state with alpha1 above the one after t=0
-    bar = full.records[1][1]
+    bar = full[1][1]
+    seen = []
     traj = run_until_consensus(
-        g, s, rule, 200, np.random.default_rng(2), stop=lambda a1, a2: a1 > bar
+        g, s, rule, 200, np.random.default_rng(2), observe=_observer(seen, lambda a1, a2: a1 > bar)
     )
-    want = next(t for t, a1, _a2 in full.records if a1 > bar)
+    want = next(t for t, a1, _a2 in full if a1 > bar)
     assert want > 1
     assert traj.status == vd.STATUS_STOPPED and traj.steps_run == want
-    assert traj.records == full.records[: want + 1]
-    # stop is checked before consensus, and a consensus state can stop a run
+    assert seen == full[: want + 1]
+    # observe is called before the consensus check, and a consensus state can
+    # stop a run
     ones = state_from_member(np.ones(100, dtype=bool))
-    traj = run_until_consensus(g, ones, rule, 10, np.random.default_rng(0), stop=lambda a1, a2: a1 == 1.0)
+    traj = run_until_consensus(
+        g, ones, rule, 10, np.random.default_rng(0), observe=lambda t, a1, a2: a1 == 1.0
+    )
     assert traj.status == vd.STATUS_STOPPED and traj.t_cons is None
 
 
@@ -591,22 +612,85 @@ def test_parse_init_family_round_trips_and_rejects():
         parse_init_family("clustered(a,b)")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "biased_global(inf)",
+        "clustered(inf,0)",
+        "clustered(0,nan)",
+        "random_density(-inf)",
+        "exact_counts(inf,0)",
+        "exact_counts(1e400,0)",
+        "exact_counts(1.5,2)",
+        "exact_counts(3,nan)",
+    ],
+)
+def test_parse_init_family_rejects_non_finite_and_fractional_parameters(text):
+    # the non-finite ones used to end in an OverflowError inside make_initial,
+    # and exact_counts(1.5,2) ran as (1, 2)
+    with pytest.raises(ValueError, match="finite parameters|integer counts"):
+        parse_init_family(text)
+
+
+def test_library_init_families_reject_non_finite_parameters():
+    g = generate_sbm(5, 0.5, 0.1, seed=0)
+    rng = np.random.default_rng(0)
+    builds = [
+        lambda: vd.biased_global(math.inf),
+        lambda: vd.clustered(math.inf, 0.0),
+        lambda: vd.clustered(0.0, math.nan),
+        lambda: vd.exact_counts(math.inf, 0),
+        lambda: vd.exact_counts(1.5, 2),
+        lambda: vd.InitFamily("biased_global", (math.inf,)),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="finite parameters|integer counts"):
+            make_initial(g, build(), rng)
+    # a huge finite parameter takes n*alpha to inf: a range error, not an
+    # OverflowError
+    for family in (vd.biased_global(1e308), vd.clustered(1e308, 1e308), vd.exact_counts(10**9, 0)):
+        with pytest.raises(ValueError, match="needs counts"):
+            make_initial(g, family, rng)
+    # integral floats and numpy integers are exact counts
+    assert vd.exact_counts(2.0, np.int64(3)) == vd.exact_counts(2, 3)
+    assert make_initial(g, vd.exact_counts(2.0, 3), rng).count1 == 2
+
+
+@given(st.integers(1, 2000), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_clustered_counts_match_the_delta_formula(n, d1, d2):
+    # round(n * alpha_i) with alpha from to_alpha equals the direct
+    # round(n(1+d2±d1)/2), because halving a double is exact
+    want = (round(n * (1 + d2 + d1) / 2), round(n * (1 + d2 - d1) / 2))
+    g = graph_from_edges(n, [])
+    if all(0 <= c <= n for c in want):
+        s = make_initial(g, vd.clustered(d1, d2), np.random.default_rng(0))
+        assert (s.count1, s.count2) == want
+    else:
+        with pytest.raises(ValueError, match="needs counts"):
+            make_initial(g, vd.clustered(d1, d2), np.random.default_rng(0))
+
+
 # --- CSV ---
 
 
 def test_trajectory_csv_format():
     g = generate_sbm(40, 0.3, 0.05, seed=6)
     s = make_initial(g, vd.biased_global(0.3), np.random.default_rng(2))
-    traj = run_until_consensus(g, s, make_rule_bo3(), 100, np.random.default_rng(3))
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
+    traj = write_trajectory_csv(g, s, make_rule_bo3(), 100, np.random.default_rng(3), buf)
     lines = buf.getvalue().splitlines()
     assert lines[0] == "t,alpha1,alpha2,delta1,delta2"
     assert lines[-1] == f"# status=consensus opinion={traj.final_opinion} t_cons={traj.t_cons}"
-    for t, row in enumerate(lines[1:-1]):
+    assert traj.status == vd.STATUS_CONSENSUS and len(lines) == traj.t_cons + 3
+    # one row per state the same run visits
+    seen = []
+    run_until_consensus(g, s, make_rule_bo3(), 100, np.random.default_rng(3), observe=_observer(seen))
+    for (t, want1, want2), row in zip(seen, lines[1:-1], strict=True):
         fields = row.split(",")
         assert int(fields[0]) == t
         a1, a2, d1, d2 = map(float, fields[1:])
+        assert (a1, a2) == (want1, want2)
         assert d1 == pytest.approx(a1 - a2, abs=1e-8)
         assert d2 == pytest.approx(a1 + a2 - 1, abs=1e-8)
 
@@ -614,9 +698,9 @@ def test_trajectory_csv_format():
 def test_trajectory_csv_timeout_comment():
     g = generate_sbm(20, 0.4, 0.1, seed=1)
     s = make_initial(g, vd.half_half(), np.random.default_rng(0))
-    traj = run_until_consensus(g, s, make_rule_bo3(), 0, np.random.default_rng(0))
     buf = io.StringIO()
-    write_trajectory_csv(traj, buf)
+    traj = write_trajectory_csv(g, s, make_rule_bo3(), 0, np.random.default_rng(0), buf)
+    assert traj.status == vd.STATUS_TIMEOUT
     assert buf.getvalue().splitlines()[-1] == "# status=timeout steps=0"
 
 
