@@ -8,12 +8,17 @@ Randomness comes from numpy's Philox generator (counter based, 64-bit words)
 keyed directly by the seed, so identical seeds give identical graphs on every
 platform.
 
-Every Graph is built the same way, whether sampled or read from an edge list:
-each undirected edge (u, v) is written as its two directed keys u << s | v and
-v << s | u, with s = (2n-1).bit_length(), into one array. The keys are int32
-while they fit in 31 bits (n <= 16384) and int64 above. One in-place sort of
-that array orders the keys by (u, v); the offsets are read off it by binary
-search and the neighbor ids are its low s bits, widened to int64.
+Every Graph is built the same way, whether sampled or read from an edge list,
+inside its own final int64 neighbor array: each undirected edge (u, v) is
+written as its two directed keys u << s | v and v << s | u, with
+s = (2n-1).bit_length(). The keys are int32 while they fit in 31 bits
+(n <= 16384) and fill an int32 view of the array's upper half; above that they
+are int64 and fill the whole array. One in-place sort orders the keys by
+(u, v), the offsets are read off them by binary search, and their low s bits
+are widened into the array front to back in fixed blocks. No second copy of
+the keys is made, and the lower half of an int32-keyed array is not touched
+before the widening. Sampled edges are written a row group at a time, and
+parsed edge-list blocks are freed one by one as their keys are written.
 """
 
 from __future__ import annotations
@@ -145,13 +150,13 @@ def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
-def _pair_blocks(n: int) -> list[tuple[np.ndarray, int, np.ndarray | int]]:
+def _pair_blocks(n: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
     # (starts, row0, col0) of each block in sampling order. Pair (i, j),
     # i < j, of a community has index i(2n-1-i)/2 + j-i-1, and the cross pair
     # (i, n+j) has index i*n + j
     i = np.arange(n + 1, dtype=np.int64)
     intra = i * (2 * n - 1 - i) // 2
-    return [(intra, 0, i[:-1] + 1), (intra, n, i[:-1] + 1 + n), (i * n, 0, n)]
+    return [(intra, 0, i[:-1] + 1), (intra, n, i[:-1] + 1 + n), (i * n, 0, np.full(n, n))]
 
 
 def _block_edges(hits, starts, row0, col0, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -171,6 +176,19 @@ def _key_layout(nv: int) -> tuple[int, type]:
     return s, np.int32 if 2 * s <= 31 else np.int64
 
 
+# directed entries per widening block, and edges per row group of a sampled
+# block; either bounds the temporaries of one step of the build
+BUILD_BLOCK = 1 << 16
+
+
+def _key_buffer(count: int, dtype) -> tuple[np.ndarray, np.ndarray]:
+    # the int64 neighbor array of count directed entries, and the keys to
+    # write into it: the array itself for int64 keys, an int32 view of its
+    # upper half for int32 keys
+    buf = np.empty(count, dtype=np.int64)
+    return buf, buf if dtype is np.int64 else buf.view(np.int32)[count:]
+
+
 def _write_keys(keys: np.ndarray, lo: int, u: np.ndarray, v: np.ndarray, s: int) -> int:
     # both directed keys of the edges (u, v) into keys[lo:]; returns the end
     e = u.size
@@ -182,17 +200,52 @@ def _write_keys(keys: np.ndarray, lo: int, u: np.ndarray, v: np.ndarray, s: int)
     return lo + 2 * e
 
 
-def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed: int) -> Graph:
-    # keys holds both directed keys of every edge; one in-place sort orders
-    # them by (u, v), so two equal adjacent keys are a duplicate edge, and the
-    # low s bits of the sorted keys are the neighbor array
+def _write_block(keys, lo, hits, starts, row0, col0, s) -> int:
+    # the keys of one block's edges into keys[lo:], in row groups of about
+    # BUILD_BLOCK edges (a row with more is a group of its own); returns the end
+    bounds = np.searchsorted(hits, starts)
+    r = 0
+    while r < col0.size:
+        r1 = max(int(np.searchsorted(bounds, bounds[r] + BUILD_BLOCK, side="right")) - 1, r + 1)
+        group = hits[bounds[r] : bounds[r1]]
+        u, v = _block_edges(group, starts[r : r1 + 1], row0 + r, col0[r:r1], keys.dtype)
+        lo = _write_keys(keys, lo, u, v, s)
+        r = r1
+    return lo
+
+
+def _graph_from_keys(
+    n: int, buf: np.ndarray, keys: np.ndarray, s: int, p: float, q: float, seed: int
+) -> Graph:
+    # keys, from _key_buffer(buf.size, ...), holds both directed keys of every
+    # edge; one in-place sort orders them by (u, v), so two equal adjacent
+    # keys are a duplicate edge, and the low s bits of the sorted keys are
+    # the neighbor array
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("duplicate edges are not allowed")
     offsets = np.searchsorted(keys, np.arange(0, (2 * n + 1) << s, 1 << s, dtype=keys.dtype))
-    keys &= (1 << s) - 1
-    neighbors = keys.astype(np.int64, copy=False)
-    return Graph(n=n, offsets=offsets, neighbors=neighbors, p=float(p), q=float(q), seed=seed)
+    # buf[i] spans the int32 slots 2i and 2i+1 and key i sits at slot
+    # buf.size + i, so the block [a, b) writes below every key past b; numpy
+    # copies a block's keys first where they overlap its own output
+    low = (1 << s) - 1
+    for a in range(0, buf.size, BUILD_BLOCK):
+        np.bitwise_and(keys[a : a + BUILD_BLOCK], low, out=buf[a : a + BUILD_BLOCK])
+    return Graph(n=n, offsets=offsets, neighbors=buf, p=float(p), q=float(q), seed=seed)
+
+
+def _graph_from_pairs(n: int, blocks: list, p: float, q: float, seed: int) -> Graph:
+    # blocks holds (E, 2) integer arrays of in-range vertex ids; each is
+    # popped once its keys are written, so the list is empty afterwards
+    s, dtype = _key_layout(2 * n)
+    buf, keys = _key_buffer(2 * sum(len(b) for b in blocks), dtype)
+    lo = 0
+    while blocks:
+        u, v = blocks.pop(0).astype(dtype, copy=False).T
+        if (u == v).any():
+            raise ValueError("self loops are not allowed")
+        lo = _write_keys(keys, lo, u, v, s)
+    return _graph_from_keys(n, buf, keys, s, p, q, seed)
 
 
 def _require_int(name: str, value) -> int:
@@ -218,9 +271,9 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     cross pairs) from one Philox stream. Within a block the sampler skips
     geometrically from edge to edge, drawing about one uniform per edge, so
     its cost follows the edge count rather than the pair count. A lookup of
-    each hit's row turns the ascending pair indices into edges, whose two
-    directed keys go into one preallocated array; one sort of it builds the
-    graph.
+    each hit's row turns the ascending pair indices into edges, a row group
+    of about BUILD_BLOCK edges at a time, whose two directed keys go straight
+    into the graph's neighbor array; one sort of them builds the graph.
     """
     n = _require_int("n", n)
     seed = _require_int("seed", seed)
@@ -230,12 +283,13 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     draws = ((m_intra, p), (m_intra, p), (n * n, q))
     hits = [_pair_indices_geometric(rng, m, prob) for m, prob in draws]
     s, dtype = _key_layout(2 * n)
-    keys = np.empty(2 * sum(h.size for h in hits), dtype=dtype)
+    buf, keys = _key_buffer(2 * sum(h.size for h in hits), dtype)
     lo = 0
-    for k, (starts, row0, col0) in zip(hits, _pair_blocks(n)):
-        lo = _write_keys(keys, lo, *_block_edges(k, starts, row0, col0, dtype), s)
-    del hits, k  # free the pair indices before the neighbor array is widened
-    return _graph_from_keys(n, keys, s, p, q, seed)
+    for starts, row0, col0 in _pair_blocks(n):
+        # a block's pair indices are freed once its keys are written
+        lo = _write_block(keys, lo, hits.pop(0), starts, row0, col0, s)
+    return _graph_from_keys(n, buf, keys, s, p, q, seed)
+
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -281,13 +335,7 @@ def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 
         raise ValueError("each edge must be exactly two integer vertex ids")
     if arr.size and (arr.min() < 0 or arr.max() >= nv):
         raise ValueError("edge endpoint out of range")
-    s, dtype = _key_layout(nv)
-    u, v = arr.astype(dtype, copy=False).T
-    if (u == v).any():
-        raise ValueError("self loops are not allowed")
-    keys = np.empty(2 * u.size, dtype=dtype)
-    _write_keys(keys, 0, u, v, s)
-    return _graph_from_keys(n, keys, s, p, q, seed)
+    return _graph_from_pairs(n, [arr], p, q, seed)
 
 
 def save_graph(g: Graph, dest) -> None:
@@ -383,9 +431,7 @@ def _read_graph(fh) -> Graph:
             tail = []
         tail.append(data[cut:])
     blocks.append(_parse_lines(b"".join(tail) + b"\n", nv, dtype))
-    edges = np.concatenate(blocks)
-    del blocks  # not held through the graph build
-    return graph_from_edges(n, edges, p=p, q=q, seed=seed)
+    return _graph_from_pairs(n, blocks, p, q, seed)
 
 
 def _parse_lines(data: bytes, nv: int, dtype) -> np.ndarray:

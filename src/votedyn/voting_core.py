@@ -336,7 +336,8 @@ class InitFamily:
     def __str__(self):
         if not self.params:
             return self.kind
-        inner = ",".join(format(p, "g") for p in self.params)
+        # an integer prints exactly, so every exact_counts label reads back
+        inner = ",".join(str(p) if isinstance(p, (int, np.integer)) else format(p, "g") for p in self.params)
         return f"{self.kind}({inner})"
 
 
@@ -371,18 +372,28 @@ def parse_init_family(text: str) -> InitFamily:
     """Parse the compact form used on the command line, e.g. clustered(0.3,0.1)."""
     text = text.strip()
     if "(" not in text:
-        kind, params = text, ()
+        kind, tokens = text, []
     else:
         if not text.endswith(")"):
             raise ValueError(f"malformed init family: {text!r}")
         kind, inner = text[:-1].split("(", 1)
-        params = tuple(float(tok) for tok in inner.split(",") if tok.strip())
+        tokens = [tok for tok in inner.split(",") if tok.strip()]
     known = {"biased_global": 1, "half_half": 0, "clustered": 2, "exact_counts": 2, "random_density": 1}
     if kind not in known:
         raise ValueError(f"unknown init family: {kind!r}")
-    if len(params) != known[kind]:
+    if len(tokens) != known[kind]:
         raise ValueError(f"{kind} expects {known[kind]} parameter(s)")
-    return exact_counts(*params) if kind == "exact_counts" else InitFamily(kind, params)
+    if kind == "exact_counts":
+        return exact_counts(*map(_count, tokens))
+    return InitFamily(kind, tuple(map(float, tokens)))
+
+
+def _count(token: str) -> int | float:
+    # an integer token keeps its exact value, which a float rounds above 2**53
+    try:
+        return int(token)
+    except ValueError:
+        return float(token)
 
 
 def _pick(rng: np.random.Generator, n: int, count: int, base: int, member: np.ndarray) -> None:

@@ -13,8 +13,6 @@ import votedyn as vd
 from votedyn import experiment_harness
 from votedyn.cli_io import main
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def svg_stats(path) -> dict:
     text = path.read_text()

@@ -30,8 +30,6 @@ from votedyn.sbm_graph import Graph
 
 from . import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 def _edges_of(neighbors) -> list[tuple[int, int]]:
     return [(a, b) for a, nb in enumerate(neighbors) for b in nb if a < b]

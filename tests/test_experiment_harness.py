@@ -31,8 +31,6 @@ from votedyn import experiment_harness
 from votedyn.cli_io import main
 from votedyn.experiment_harness import MAX_WORKERS, RESULTS_HEADER
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 class _InlinePool:
     """Stands in for ProcessPoolExecutor: records the pool sizes asked for

