@@ -27,6 +27,9 @@ from votedyn import (
     graph_from_edges,
     load_graph,
     save_graph,
+    rule_from_name,
+    state_from_member,
+    step_sampling,
 )
 from votedyn import sbm_graph
 from votedyn.sbm_graph import (
@@ -704,23 +707,75 @@ def test_degree_normalized_dev_is_small_at_scale():
     assert degree_stats(g).normalized_dev <= 4.0
 
 
-def test_deg_in_set_matches_brute_force():
+def _without(g: Graph, cut: set[int]) -> Graph:
+    # g with every edge at a vertex of cut removed, leaving those isolated
+    edges = _edge_array(g)
+    return graph_from_edges(g.n, edges[~np.isin(edges, list(cut)).any(axis=1)])
+
+
+def test_deg_in_set_matches_brute_force(monkeypatch):
     # Graph.count_in against a per-vertex count, with isolated vertices in the
-    # middle and at the end, and on a graph with no edges
-    base = generate_sbm(30, 0.3, 0.15, seed=2)
-    cut = {13, 59}
-    edges = [(a, b) for a, b in edge_set(base) if a not in cut and b not in cut]
-    graphs = [base, graph_from_edges(30, edges), graph_from_edges(3, [])]
-    assert np.flatnonzero(graphs[1].degrees == 0).tolist() == [13, 59]
-    rng = np.random.default_rng(0)
-    for g in graphs:
-        nv = g.num_vertices
-        for mask in (np.zeros(nv, dtype=bool), np.ones(nv, dtype=bool), rng.random(nv) < 0.3):
-            expect = [
-                sum(1 for w in g.neighbors[g.offsets[v] : g.offsets[v + 1]] if mask[int(w)])
-                for v in range(nv)
-            ]
-            assert g.count_in(mask).tolist() == expect
+    # middle and at the end, and on a graph with no edges. The two dense
+    # graphs, of 320 and 330 vertices, count on packed rows; with blocks of
+    # 100 entries every graph with at least that many does, its rows built
+    # and counted in many blocks
+    layouts = {sbm_graph.BUILD_BLOCK: [False, False, False, True, True], 100: [True, True, False, True, True]}
+    for block, packed in layouts.items():
+        monkeypatch.setattr(sbm_graph, "BUILD_BLOCK", block)
+        base = generate_sbm(30, 0.3, 0.15, seed=2)
+        graphs = [base, _without(base, {13, 59}), graph_from_edges(3, [])]
+        graphs += [_without(generate_sbm(n, 0.9, 0.9, seed=n), {n // 2 + 1, 2 * n - 1}) for n in (160, 165)]
+        assert [g._packed for g in graphs] == packed
+        assert np.flatnonzero(graphs[1].degrees == 0).tolist() == [13, 59]
+        assert [np.flatnonzero(g.degrees == 0).tolist() for g in graphs[3:]] == [[81, 319], [83, 329]]
+        rng = np.random.default_rng(0)
+        for g in graphs:
+            nv = g.num_vertices
+            neighbors = g.neighbors.tolist()
+            for mask in (np.zeros(nv, dtype=bool), np.ones(nv, dtype=bool), rng.random(nv) < 0.3):
+                bits = mask.tolist()
+                expect = [sum(bits[w] for w in neighbors[g.offsets[v] : g.offsets[v + 1]]) for v in range(nv)]
+                count = g.count_in(mask)
+                assert count.dtype == np.int32 and count.tolist() == expect
+
+
+def test_packed_rows_are_built_by_the_first_count_within_one_block(tmp_path):
+    # no graph holds rows before its first count_in, whichever way it was
+    # built, and a step does not build them; a sparse or tiny graph never
+    # does. The first count of a dense graph holds the rows and one block of
+    # the build at most: BUILD_BLOCK neighbor entries' int64 positions, their
+    # bool block and its packed bytes, under 10 B per entry (a count block
+    # holds less), plus the int32 counts and the packed mask, under 8 B per
+    # vertex. An nv x nv bool temporary (16 MB) or masking all rows at once
+    # (+1.9 MiB) exceeds it
+    dense = generate_sbm(2000, 0.3, 0.09, seed=1)
+    path = tmp_path / "g.txt"
+    save_graph(dense, path)
+    built = [dense, load_graph(path), graph_from_edges(dense.n, _edge_array(dense))]
+    step_sampling(dense, state_from_member(dense.degrees > 750), rule_from_name("bo3"),
+                  np.random.Generator(np.random.Philox(key=1)))
+    assert [(g._packed, g._rows) for g in built] == [(True, None)] * 3
+    sparse = generate_sbm(2000, 0.02, 0.01, seed=1)
+    tiny = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    assert sparse.neighbors.size >= sbm_graph.BUILD_BLOCK
+    for g in (sparse, tiny):
+        g.count_in(np.ones(g.num_vertices, dtype=bool))
+        assert (g._packed, g._rows) == (False, None)
+
+    nv = dense.num_vertices
+    rows_bytes = nv * -(-nv // 64) * 8
+    mask = np.random.default_rng(1).random(nv) < 0.5
+    tracemalloc.start()
+    try:
+        count = dense.count_in(mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= rows_bytes + 10 * sbm_graph.BUILD_BLOCK + 8 * nv, peak - rows_bytes
+    assert dense._rows.nbytes == rows_bytes and not dense._rows.flags.writeable
+    with pytest.raises(ValueError):
+        dense._rows[0, 0] = 0  # read-only
+    assert np.array_equal(count, built[1].count_in(mask))
 
 
 def test_graph_is_frozen():
