@@ -44,6 +44,11 @@ RESULTS_HEADER = "model,n,p,q,r,init,trial,seed,t_cons,timeout,final_opinion,pea
 # a fixed cap on worker processes, so which configs are accepted does not
 # depend on the host; a pool never has more workers than task chunks
 MAX_WORKERS = 64
+# a fixed cap on trials per run, checked before any task is built: a run's
+# tasks and records take about 769 B per trial (tracemalloc, 50,000 trials at
+# n = 2), so the cap bounds that bookkeeping at about 77 MB, and it is 2,000
+# times the largest trial count of the acceptance battery (50)
+MAX_TRIALS = 100_000
 
 
 def derive_seed(master_seed: int, *parts) -> int:
@@ -75,8 +80,10 @@ class ExperimentConfig:
             raise ValueError("r must lie in [0,1]")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0,1]")
-        if self.n < 1 or self.trials < 1 or self.max_steps < 0:
-            raise ValueError("n, trials >= 1; max_steps >= 0")
+        if self.n < 1 or self.max_steps < 0:
+            raise ValueError("n >= 1; max_steps >= 0")
+        if not 1 <= self.trials <= MAX_TRIALS:
+            raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
         vc.rule_from_name(self.model)  # validates the name

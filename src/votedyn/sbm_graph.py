@@ -8,18 +8,15 @@ Randomness comes from numpy's Philox generator (counter based, 64-bit words)
 keyed directly by the seed, so identical seeds give identical graphs on every
 platform.
 
-Every Graph is built the same way, whether sampled or read from an edge list,
-inside its own final int64 neighbor array: each undirected edge (u, v) is
-written as its two directed keys u << s | v and v << s | u, with
-s = (2n-1).bit_length(). The keys are int32 while they fit in 31 bits
-(n <= 16384) and fill an int32 view of the array's upper half; above that they
-are int64 and fill the whole array. One in-place sort orders the keys by
-(u, v), the offsets are read off them by binary search, and they are masked
-to their low s bits in place; int32 keys are then widened into the array
-front to back in fixed blocks. No second copy of
-the keys is made, and the lower half of an int32-keyed array is not touched
-before the widening. Sampled edges are written a row group at a time, and
-parsed edge-list blocks are freed one by one as their keys are written.
+Every Graph is built the same way, whether sampled or read from an edge list:
+each undirected edge (u, v) is written as its two directed keys u << s | v and
+v << s | u, with s = (2n-1).bit_length(). The keys are int32 while they fit in
+31 bits (n <= 16384), int64 above. One in-place sort orders the keys by
+(u, v), the offsets are read off them by binary search, and masking them to
+their low s bits in place turns them into the neighbor array, so the ids keep
+the key width and no second copy of the keys is made. Sampled edges are
+written a row group at a time, and parsed edge-list blocks are freed one by one
+as their keys are written.
 
 A dense graph also has packed adjacency rows, one bit per vertex pair, which
 Graph.count_in builds on its first call and counts on by population count.
@@ -49,7 +46,8 @@ class Graph:
     """Immutable adjacency in compressed form: sorted neighbor lists per vertex.
 
     Two graphs compare equal only when they are the same object. The arrays
-    are read-only and always int64, whatever key width built them.
+    are read-only. The neighbor ids have the key width, int32 for n <= 16384
+    and int64 above, so a gather indexed by them uses take or converts to intp.
 
     Attributes
     ----------
@@ -58,7 +56,7 @@ class Graph:
     offsets : ndarray of int64, shape (2n+1,)
         Neighbor-list boundaries; neighbors of v are
         ``neighbors[offsets[v]:offsets[v+1]]``, sorted ascending.
-    neighbors : ndarray of int64
+    neighbors : ndarray of int32 or int64
         Concatenated neighbor lists.
     p, q : float
         Edge probabilities recorded at generation time.
@@ -78,11 +76,12 @@ class Graph:
     seed: int = 0
     degrees: np.ndarray = field(init=False, repr=False)
     isolated: np.ndarray = field(init=False, repr=False)
-    # whether count_in uses packed rows, set at construction for a dense
-    # graph, and the rows, built by its first count_in; class defaults rather
-    # than fields, so constructing any other graph sets neither
+    # whether count_in uses packed rows, set at construction, then the rows
+    # or a one-block graph's intp ids, made by its first count_in; class
+    # defaults rather than fields, so constructing a graph sets none of them
     _packed = False
     _rows = None
+    _ids = None
 
     def __post_init__(self):
         degrees = self.offsets[1:] - self.offsets[:-1]
@@ -111,17 +110,24 @@ class Graph:
         built by its first call and kept: bit v of row u is set iff v is a
         neighbor of u, and a vertex's count is the population count of its
         row and the packed mask. Any other graph gathers the mask over its
-        neighbor array."""
+        neighbor array, in vertex blocks of at most BUILD_BLOCK entries once
+        it has more."""
         if self._packed:
             if self._rows is None:
                 object.__setattr__(self, "_rows", _pack_rows(self))
             return _count_rows(self._rows, mask)
-        # one reduceat over the vote array; the trailing zero gives a degree-0
-        # last vertex a valid start index. A degree-0 vertex reads one stray
-        # vote, so isolated vertices are zeroed afterwards.
-        votes = np.zeros(self.neighbors.size + 1, dtype=bool)
-        votes[:-1] = mask[self.neighbors]
-        count = np.add.reduceat(votes.view(np.uint8), self.offsets[:-1], dtype=np.int32)
+        ids, offsets = self.neighbors, self.offsets
+        if ids.size <= BUILD_BLOCK:
+            # one block, no walk, and intp ids kept from the first count on
+            if self._ids is None:
+                object.__setattr__(self, "_ids", ids.astype(np.intp))
+            count = _count_ids(mask, self._ids, offsets[:-1])
+        else:
+            count = np.empty(self.degrees.size, dtype=np.int32)
+            for lo, hi in _row_blocks(offsets, BUILD_BLOCK):
+                a = offsets[lo]  # the block's intp ids are freed by the return
+                _count_ids(mask, ids[a : offsets[hi]].astype(np.intp), offsets[lo:hi] - a, out=count[lo:hi])
+        # a degree-0 vertex reads one stray vote
         if self.isolated.size:
             count[self.isolated] = 0
         return count
@@ -139,14 +145,14 @@ class DegreeStats:
     normalized_dev: float
 
 
-def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np.ndarray:
-    # ascending indices of the hits among m Bernoulli(prob) pairs: the gap to
-    # the next hit is 1 + floor(log(1-u) / log(1-prob)) (Batagelj and Brandes,
-    # Phys. Rev. E 71, 036113, 2005)
+def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float, dtype) -> np.ndarray:
+    # ascending indices, of an integer dtype that holds m, of the hits among m
+    # Bernoulli(prob) pairs: the gap to the next hit is 1 + floor(log(1-u) /
+    # log(1-prob)) (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005)
     if m == 0 or prob <= 0.0:
-        return np.empty(0, dtype=np.int64)
+        return np.empty(0, dtype=dtype)
     if prob >= 1.0:
-        return np.arange(m, dtype=np.int64)
+        return np.arange(m, dtype=dtype)
     log_skip = math.log1p(-prob)
     # a gap of m + 1 passes the last pair from any position, so capping the
     # numerator there changes no hit; it keeps the quotient finite and inside
@@ -163,23 +169,25 @@ def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float) -> np
         np.floor(u, out=u)
         hits = u.astype(np.int64)
         del u
+        # the sum of one chunk's gaps can pass 2**31, so the indices are
+        # narrowed only once those past m are cut
         hits += 1
         np.cumsum(hits, out=hits)
         hits += pos
         pos = int(hits[-1])
         if pos >= m:
             hits = hits[: np.searchsorted(hits, m)]
-        chunks.append(hits)
+        chunks.append(hits.astype(dtype, copy=False))
     return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
 
 
 def _pair_blocks(n: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
-    # (starts, row0, col0) of each block in sampling order. Pair (i, j),
-    # i < j, of a community has index i(2n-1-i)/2 + j-i-1, and the cross pair
-    # (i, n+j) has index i*n + j
-    i = np.arange(n + 1, dtype=np.int64)
+    # (starts, row0, col0) of each block in sampling order, at the key width,
+    # which holds every pair index: pair (i, j), i < j, of a community has
+    # index i(2n-1-i)/2 + j-i-1, and the cross pair (i, n+j) i*n + j
+    i = np.arange(n + 1, dtype=_key_layout(2 * n)[1])
     intra = i * (2 * n - 1 - i) // 2
-    return [(intra, 0, i[:-1] + 1), (intra, n, i[:-1] + 1 + n), (i * n, 0, np.full(n, n))]
+    return [(intra, 0, i[:-1] + 1), (intra, n, i[:-1] + 1 + n), (i * n, 0, np.full(n, n, dtype=i.dtype))]
 
 
 def _block_edges(hits, starts, row0, col0, dtype) -> tuple[np.ndarray, np.ndarray]:
@@ -199,8 +207,8 @@ def _key_layout(nv: int) -> tuple[int, type]:
     return s, np.int32 if 2 * s <= 31 else np.int64
 
 
-# directed entries per widening block, and edges per row group of a sampled
-# block; either bounds the temporaries of one step of the build
+# edges per row group of a sampled block, and directed entries per block of a
+# count; either bounds the temporaries of one step of the build or the count
 BUILD_BLOCK = 1 << 16
 
 # a graph of at least BUILD_BLOCK directed entries counts on packed rows when
@@ -254,12 +262,23 @@ def _count_rows(rows: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return count
 
 
-def _key_buffer(count: int, dtype) -> tuple[np.ndarray, np.ndarray]:
-    # the int64 neighbor array of count directed entries, and the keys to
-    # write into it: the array itself for int64 keys, an int32 view of its
-    # upper half for int32 keys
-    buf = np.empty(count, dtype=np.int64)
-    return buf, buf if dtype is np.int64 else buf.view(np.int32)[count:]
+def _row_blocks(offsets: np.ndarray, size: int):
+    # the ranges [lo, hi) of consecutive rows with at most size entries in
+    # all, row i owning offsets[i]:offsets[i+1]; a larger row is a range alone
+    lo = 0
+    while lo < offsets.size - 1:
+        hi = max(int(np.searchsorted(offsets, offsets[lo] + size, side="right")) - 1, lo + 1)
+        yield lo, hi
+        lo = hi
+
+
+def _count_ids(mask, ids, starts, out=None) -> np.ndarray:
+    # each vertex's int32 count of the intp ids inside the mask, vertex i
+    # owning ids[starts[i]:starts[i+1]]; the trailing zero gives a degree-0
+    # last vertex a start, and the votes and their int32 cast take 5 B per id
+    votes = np.zeros(ids.size + 1, dtype=bool)
+    votes[:-1] = mask[ids]
+    return np.add.reduceat(votes.view(np.uint8), starts, dtype=np.int32, out=out)
 
 
 def _write_keys(keys: np.ndarray, lo: int, u: np.ndarray, v: np.ndarray, s: int) -> int:
@@ -277,50 +296,37 @@ def _write_block(keys, lo, hits, starts, row0, col0, s) -> int:
     # the keys of one block's edges into keys[lo:], in row groups of about
     # BUILD_BLOCK edges (a row with more is a group of its own); returns the end
     bounds = np.searchsorted(hits, starts)
-    r = 0
-    while r < col0.size:
-        r1 = max(int(np.searchsorted(bounds, bounds[r] + BUILD_BLOCK, side="right")) - 1, r + 1)
+    for r, r1 in _row_blocks(bounds, BUILD_BLOCK):
         group = hits[bounds[r] : bounds[r1]]
         u, v = _block_edges(group, starts[r : r1 + 1], row0 + r, col0[r:r1], keys.dtype)
         lo = _write_keys(keys, lo, u, v, s)
-        r = r1
     return lo
 
 
-def _graph_from_keys(
-    n: int, buf: np.ndarray, keys: np.ndarray, s: int, p: float, q: float, seed: int
-) -> Graph:
-    # keys, from _key_buffer(buf.size, ...), holds both directed keys of every
-    # edge; one in-place sort orders them by (u, v), so two equal adjacent
-    # keys are a duplicate edge, and the low s bits of the sorted keys are
-    # the neighbor array
+def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed: int) -> Graph:
+    # keys holds both directed keys of every edge; one in-place sort orders
+    # them by (u, v), so two equal adjacent keys are a duplicate edge, and the
+    # low s bits of the sorted keys are the neighbor array
     keys.sort()
     if (keys[1:] == keys[:-1]).any():
         raise ValueError("duplicate edges are not allowed")
     offsets = np.searchsorted(keys, np.arange(0, (2 * n + 1) << s, 1 << s, dtype=keys.dtype))
     keys &= (1 << s) - 1
-    # int32 keys are widened into buf: buf[i] spans the int32 slots 2i and
-    # 2i+1 and key i sits at slot buf.size + i, so the block [a, b) writes
-    # below every key past b; numpy copies a block's keys first where they
-    # overlap its own output
-    if keys is not buf:
-        for a in range(0, buf.size, BUILD_BLOCK):
-            buf[a : a + BUILD_BLOCK] = keys[a : a + BUILD_BLOCK]
-    return Graph(n=n, offsets=offsets, neighbors=buf, p=float(p), q=float(q), seed=seed)
+    return Graph(n=n, offsets=offsets, neighbors=keys, p=float(p), q=float(q), seed=seed)
 
 
 def _graph_from_pairs(n: int, blocks: list, p: float, q: float, seed: int) -> Graph:
     # blocks holds (E, 2) integer arrays of in-range vertex ids; each is
     # popped once its keys are written, so the list is empty afterwards
     s, dtype = _key_layout(2 * n)
-    buf, keys = _key_buffer(2 * sum(len(b) for b in blocks), dtype)
+    keys = np.empty(2 * sum(len(b) for b in blocks), dtype=dtype)
     lo = 0
     while blocks:
         u, v = blocks.pop(0).astype(dtype, copy=False).T
         if (u == v).any():
             raise ValueError("self loops are not allowed")
         lo = _write_keys(keys, lo, u, v, s)
-    return _graph_from_keys(n, buf, keys, s, p, q, seed)
+    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
 def _require_int(name: str, value) -> int:
@@ -356,15 +362,14 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     rng = np.random.Generator(np.random.Philox(key=seed))
     m_intra = n * (n - 1) // 2
     draws = ((m_intra, p), (m_intra, p), (n * n, q))
-    hits = [_pair_indices_geometric(rng, m, prob) for m, prob in draws]
     s, dtype = _key_layout(2 * n)
-    buf, keys = _key_buffer(2 * sum(h.size for h in hits), dtype)
+    hits = [_pair_indices_geometric(rng, m, prob, dtype) for m, prob in draws]
+    keys = np.empty(2 * sum(h.size for h in hits), dtype=dtype)
     lo = 0
     for starts, row0, col0 in _pair_blocks(n):
         # a block's pair indices are freed once its keys are written
         lo = _write_block(keys, lo, hits.pop(0), starts, row0, col0, s)
-    return _graph_from_keys(n, buf, keys, s, p, q, seed)
-
+    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
 def degree_stats(g: Graph) -> DegreeStats:
@@ -439,23 +444,17 @@ def _write_graph(g: Graph, fh) -> None:
     text = np.arange(nv).astype(f"S{w}")
     record = [("u", f"S{w}"), ("sp", "S1"), ("v", f"S{w}"), ("nl", "S1")]
     offsets = g.offsets
-    lo = 0
-    while lo < nv:
-        # consecutive vertices with about WRITE_BLOCK entries in all; a
-        # vertex of larger degree is a block of its own
-        hi = int(np.searchsorted(offsets, offsets[lo] + WRITE_BLOCK, side="right")) - 1
-        hi = max(hi, lo + 1)
+    for lo, hi in _row_blocks(offsets, WRITE_BLOCK):
         src = np.repeat(np.arange(lo, hi), g.degrees[lo:hi])
         dst = g.neighbors[offsets[lo] : offsets[hi]]
         keep = src < dst
         lines = np.empty(int(np.count_nonzero(keep)), dtype=record)
         lines["u"] = text[src[keep]]
         lines["sp"] = b" "
-        lines["v"] = text[dst[keep]]
+        lines["v"] = text.take(dst[keep])
         lines["nl"] = b"\n"
         raw = lines.view(np.uint8)
         fh.write(raw[raw != 0].tobytes().decode("ascii"))
-        lo = hi
 
 
 def load_graph(source) -> Graph:

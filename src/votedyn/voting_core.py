@@ -253,7 +253,9 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     if g.neighbors.size == 0:
         return state_from_member(s.member.copy())
     words = raw.astype("<u8", copy=False).view("<u4").reshape(m, nv)
-    # deg < 2^31, so the int64 product w * deg stays below 2^63
+    # w < 2^32 and deg < 2^31 (an int32-id graph has at most 2^15 vertices, and
+    # an int64-id vertex of degree 2^31 would hold 16 GiB of ids), so the
+    # int64 product w * deg stays below 2^63
     idx = words * g.degrees
     idx >>= 32
     idx += g.offsets[:-1]
@@ -263,7 +265,8 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
         # override below discards whatever isolated vertices read
         np.minimum(idx, g.neighbors.size - 1, out=idx)
     own = s.member.view(np.uint8)
-    ones = own[g.neighbors[idx]].sum(axis=0, dtype=np.uint8)  # m <= 25
+    # take converts int32 ids to intp; a plain own[ids] would do so at half speed
+    ones = own.take(g.neighbors[idx]).sum(axis=0, dtype=np.uint8)  # m <= 25
     threshold = m // 2
     if m == 2:
         # bo2, the only 2-draw rule, keeps the own opinion unless both

@@ -65,10 +65,10 @@ def test_generate_rejects_q_above_p(tmp_path, capsys):
 def test_memory_error_exits_1_with_one_line(monkeypatch, tmp_path, capsys):
     # an allocation inside a subcommand fails as numpy's does on an oversized
     # request; it ended the run with a traceback
-    def no_memory(count, dtype):
+    def no_memory(rng, m, prob, dtype):
         raise MemoryError("Unable to allocate 19.5 PiB for an array with shape (2,) and data type int64")
 
-    monkeypatch.setattr(vd.sbm_graph, "_key_buffer", no_memory)
+    monkeypatch.setattr(vd.sbm_graph, "_pair_indices_geometric", no_memory)
     out = tmp_path / "g.txt"
     code = main(["generate", "--n", "20", "--p", "0.4", "--q", "0.1",
                  "--seed", "3", "-o", str(out)])

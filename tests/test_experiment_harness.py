@@ -29,7 +29,7 @@ from votedyn import (
 )
 from votedyn import experiment_harness
 from votedyn.cli_io import main
-from votedyn.experiment_harness import MAX_WORKERS, RESULTS_HEADER
+from votedyn.experiment_harness import MAX_TRIALS, MAX_WORKERS, RESULTS_HEADER
 
 
 class _InlinePool:
@@ -122,6 +122,9 @@ def test_config_validation():
     assert small_cfg(workers=MAX_WORKERS).workers == MAX_WORKERS
     with pytest.raises(ValueError, match="workers"):
         small_cfg(workers=MAX_WORKERS + 1)
+    assert small_cfg(trials=MAX_TRIALS).trials == MAX_TRIALS
+    with pytest.raises(ValueError, match="trials"):
+        small_cfg(trials=MAX_TRIALS + 1)
 
 
 # --- run_trials ---
@@ -163,6 +166,26 @@ def test_cli_rejects_workers_above_the_cap(monkeypatch, capsys, tmp_path):
     assert code == 2
     assert f"workers must lie in [1, {MAX_WORKERS}]" in capsys.readouterr().err
     assert _InlinePool.sizes == []
+
+
+def test_cli_rejects_trials_above_the_cap_before_any_task(monkeypatch, capsys):
+    # 2**63 trials once grew the task list until MemoryError; the cap is
+    # checked when the config is built, before any task or allocation. Should
+    # the check go, the run fails at once instead of growing
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(experiment_harness, "run_trials", no_run)
+    tracemalloc.start()
+    try:
+        code = main(["sink-persist", "--model", "bo3", "--n", "6", "--p", "0.5", "--r", "0.1",
+                     "--trials", str(2**63), "--max-steps", "5"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert f"trials must lie in [1, {MAX_TRIALS}]" in capsys.readouterr().err
+    assert peak < 1 << 20
 
 
 def test_run_trials_shared_graph():
