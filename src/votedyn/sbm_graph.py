@@ -8,15 +8,20 @@ Randomness comes from numpy's Philox generator (counter based, 64-bit words)
 keyed directly by the seed, so identical seeds give identical graphs on every
 platform.
 
-Every Graph is built the same way, whether sampled or read from an edge list:
-each undirected edge (u, v) is written as its two directed keys u << s | v and
-v << s | u, with s = (2n-1).bit_length(). The keys are int32 while they fit in
-31 bits (n <= 16384), int64 above. One in-place sort orders the keys by
-(u, v), the offsets are read off them by binary search, and masking them to
-their low s bits in place turns them into the neighbor array, so the ids keep
-the key width and no second copy of the keys is made. Sampled edges are
-written a row group at a time, and parsed edge-list blocks are freed one by one
-as their keys are written.
+Every Graph is built inside the one array that becomes its neighbor array,
+whether it is sampled, read from an edge list or given as pairs. Each
+undirected edge (u, v) is written there as its two directed keys u << s | v
+and v << s | u, with s = (2n-1).bit_length(). The keys are int32 while they
+fit in 31 bits (n <= 16384), int64 above. While edges are sampled or parsed
+the array grows in place, in fixed steps, and nothing else the build
+allocates is larger than a fixed slice. The sampler appends each block's
+ascending pair indices to it; once all three blocks are in, the indices move
+to its upper half and the keys are written front to back over them. A parsed
+block's id pairs are appended and turned into their keys in place. One
+in-place sort orders the keys by (u, v), the offsets are read off them by
+binary search, and masking them to their low s bits in place turns them into
+the neighbor ids, which keep the key width. n and the directed entries have
+fixed caps, MAX_N and MAX_ENTRIES, checked before anything is allocated.
 
 A dense graph also has packed adjacency rows, one bit per vertex pair, which
 Graph.count_in builds on its first call and counts on by population count.
@@ -145,40 +150,49 @@ class DegreeStats:
     normalized_dev: float
 
 
-def _pair_indices_geometric(rng: np.random.Generator, m: int, prob: float, dtype) -> np.ndarray:
-    # ascending indices, of an integer dtype that holds m, of the hits among m
-    # Bernoulli(prob) pairs: the gap to the next hit is 1 + floor(log(1-u) /
-    # log(1-prob)) (Batagelj and Brandes, Phys. Rev. E 71, 036113, 2005)
+def _sample_pairs(rng: np.random.Generator, m: int, prob: float, keys: np.ndarray, end: int) -> int:
+    # appends the ascending indices of the hits among m Bernoulli(prob) pairs
+    # to keys[end:] and returns the new end: the gap to the next hit is 1 +
+    # floor(log(1-u) / log(1-prob)) (Batagelj and Brandes, Phys. Rev. E 71,
+    # 036113, 2005). The chunk sizes fix how many words each block consumes,
+    # so a chunk is drawn BUILD_BLOCK uniforms at a time and its words past
+    # the cut at m are skipped unread; each index becomes two directed keys
+    cap = MAX_ENTRIES // 2
     if m == 0 or prob <= 0.0:
-        return np.empty(0, dtype=dtype)
+        return end
     if prob >= 1.0:
-        return np.arange(m, dtype=dtype)
+        for lo in range(0, m, BUILD_BLOCK):
+            end = _append(keys, end, np.arange(lo, min(lo + BUILD_BLOCK, m)), cap)
+        return end
     log_skip = math.log1p(-prob)
     # a gap of m + 1 passes the last pair from any position, so capping the
     # numerator there changes no hit; it keeps the quotient finite and inside
     # int64 when prob is tiny
     log_cap = (m + 1) * log_skip
-    chunks = []
     pos = -1
     while pos < m:
-        u = rng.random(int((m - pos) * prob * 1.1) + 64)
-        np.negative(u, out=u)
-        np.log1p(u, out=u)
-        np.maximum(u, log_cap, out=u)
-        u /= log_skip
-        np.floor(u, out=u)
-        hits = u.astype(np.int64)
-        del u
-        # the sum of one chunk's gaps can pass 2**31, so the indices are
-        # narrowed only once those past m are cut
-        hits += 1
-        np.cumsum(hits, out=hits)
-        hits += pos
-        pos = int(hits[-1])
-        if pos >= m:
-            hits = hits[: np.searchsorted(hits, m)]
-        chunks.append(hits.astype(dtype, copy=False))
-    return chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        draws = int((m - pos) * prob * 1.1) + 64
+        while draws and pos < m:
+            u = rng.random(min(draws, BUILD_BLOCK))
+            draws -= u.size
+            np.negative(u, out=u)
+            np.log1p(u, out=u)
+            np.maximum(u, log_cap, out=u)
+            u /= log_skip
+            np.floor(u, out=u)
+            # the gaps are summed in int64, as a slice's sum can pass 2**31
+            # before the cut at m
+            hits = u.astype(np.int64)
+            hits += 1
+            np.cumsum(hits, out=hits)
+            hits += pos
+            pos = int(hits[-1])
+            if pos >= m:
+                hits = hits[: np.searchsorted(hits, m)]
+            end = _append(keys, end, hits, cap)
+        if draws:
+            rng.bit_generator.random_raw(draws, output=False)
+    return end
 
 
 def _pair_blocks(n: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
@@ -207,9 +221,18 @@ def _key_layout(nv: int) -> tuple[int, type]:
     return s, np.int32 if 2 * s <= 31 else np.int64
 
 
-# edges per row group of a sampled block, and directed entries per block of a
-# count; either bounds the temporaries of one step of the build or the count
+# uniforms per slice of a sampled chunk, edges per row group of a sampled
+# block, pairs per step of a key conversion, and entries per growth step of a
+# neighbor array or per block of a count; each bounds the temporaries or the
+# slack of one step of the build or the count
 BUILD_BLOCK = 1 << 16
+
+# fixed caps on a graph, whatever the host, checked before anything is
+# allocated. MAX_N bounds the per-vertex arrays (offsets and degrees take
+# 16 B per vertex, 512 MiB at the cap) and keeps every degree below 2n <=
+# 2**25; MAX_ENTRIES bounds the neighbor array, 16 GiB of int64 ids at the cap
+MAX_N = 1 << 24
+MAX_ENTRIES = 1 << 31
 
 # a graph of at least BUILD_BLOCK directed entries counts on packed rows when
 # it has PACKED_FILL or more entries per 64-bit word of them. One count on the
@@ -303,30 +326,56 @@ def _write_block(keys, lo, hits, starts, row0, col0, s) -> int:
     return lo
 
 
+def _append(keys: np.ndarray, end: int, items: np.ndarray, cap: int) -> int:
+    # items, in C order, into keys[end:], a graph's neighbor array while it is
+    # built, and returns the new end. The array grows in place, by
+    # ndarray.resize, a realloc that on Linux remaps a large array rather than
+    # copying it, to a whole number of BUILD_BLOCK entries: growth by a factor
+    # leaves up to that factor of slack. It never grows past cap entries, and
+    # a view of it made before the call must not be used after it
+    new = end + items.size
+    if new > keys.size:
+        if new > cap:
+            raise ValueError(f"a graph may hold at most {MAX_ENTRIES} directed entries")
+        keys.resize(min(cap, -(-new // BUILD_BLOCK) * BUILD_BLOCK), refcheck=False)
+    keys[end:new].reshape(items.shape)[...] = items
+    return new
+
+
+def _append_pairs(keys: np.ndarray, end: int, pairs: np.ndarray, s: int) -> int:
+    # the directed keys of the (E, 2) id pairs into keys[end:], BUILD_BLOCK
+    # pairs at a time, and returns the new end: a block's u ids and then its
+    # v ids are appended, and the two halves turned into its keys in place
+    for lo in range(0, len(pairs), BUILD_BLOCK):
+        new = _append(keys, end, pairs[lo : lo + BUILD_BLOCK].T, MAX_ENTRIES)
+        u, v = keys[end:new].reshape(2, -1)
+        rev = v << s
+        rev |= u
+        u <<= s
+        u |= v
+        v[...] = rev
+        end = new
+    return end
+
+
 def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed: int) -> Graph:
     # keys holds both directed keys of every edge; one in-place sort orders
-    # them by (u, v), so two equal adjacent keys are a duplicate edge, and the
-    # low s bits of the sorted keys are the neighbor array
+    # them by (u, v), so two equal adjacent keys are a duplicate edge or a
+    # self loop, whose two keys are equal, and the low s bits of the sorted
+    # keys are the neighbor array
     keys.sort()
-    if (keys[1:] == keys[:-1]).any():
-        raise ValueError("duplicate edges are not allowed")
+    low = (1 << s) - 1
+    for lo in range(0, keys.size - 1, BUILD_BLOCK):
+        block = keys[lo : lo + BUILD_BLOCK + 1]
+        if (block[1:] == block[:-1]).any():
+            for a in range(0, keys.size, BUILD_BLOCK):
+                part = keys[a : a + BUILD_BLOCK]
+                if ((part >> s) == (part & low)).any():
+                    raise ValueError("self loops are not allowed")
+            raise ValueError("duplicate edges are not allowed")
     offsets = np.searchsorted(keys, np.arange(0, (2 * n + 1) << s, 1 << s, dtype=keys.dtype))
-    keys &= (1 << s) - 1
+    keys &= low
     return Graph(n=n, offsets=offsets, neighbors=keys, p=float(p), q=float(q), seed=seed)
-
-
-def _graph_from_pairs(n: int, blocks: list, p: float, q: float, seed: int) -> Graph:
-    # blocks holds (E, 2) integer arrays of in-range vertex ids; each is
-    # popped once its keys are written, so the list is empty afterwards
-    s, dtype = _key_layout(2 * n)
-    keys = np.empty(2 * sum(len(b) for b in blocks), dtype=dtype)
-    lo = 0
-    while blocks:
-        u, v = blocks.pop(0).astype(dtype, copy=False).T
-        if (u == v).any():
-            raise ValueError("self loops are not allowed")
-        lo = _write_keys(keys, lo, u, v, s)
-    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
 def _require_int(name: str, value) -> int:
@@ -339,10 +388,17 @@ def _check_sbm_params(n: int, p: float, q: float) -> None:
     # plain comparisons: graph_from_edges runs this on every small graph
     if n < 1:
         raise ValueError("n must be a positive integer")
+    if n > MAX_N:
+        raise ValueError(f"n must be at most {MAX_N}, got {n}")
     if q > p:
         raise ValueError("q must not exceed p")
     if not 0.0 <= q <= p <= 1.0:
         raise ValueError("edge probabilities must satisfy 0 <= q <= p <= 1")
+
+
+def _check_entries(entries: float) -> None:
+    if entries > MAX_ENTRIES:
+        raise ValueError(f"a graph may hold at most {MAX_ENTRIES} directed entries, this one {entries:.4g}")
 
 
 def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
@@ -351,24 +407,34 @@ def generate_sbm(n: int, p: float, q: float, seed: int) -> Graph:
     Blocks are drawn in a fixed order (community 1 pairs, community 2 pairs,
     cross pairs) from one Philox stream. Within a block the sampler skips
     geometrically from edge to edge, drawing about one uniform per edge, so
-    its cost follows the edge count rather than the pair count. A lookup of
-    each hit's row turns the ascending pair indices into edges, a row group
-    of about BUILD_BLOCK edges at a time, whose two directed keys go straight
-    into the graph's neighbor array; one sort of them builds the graph.
+    its cost follows the edge count rather than the pair count. It draws in
+    slices of BUILD_BLOCK uniforms and appends the ascending pair indices to
+    the graph's neighbor array. A lookup of each hit's row then turns them
+    into edges, a row group of about BUILD_BLOCK edges at a time, whose two
+    directed keys are written over the indices; one sort of them builds the
+    graph. n may be at most MAX_N, and the expected number of directed
+    entries, 2(n(n-1)p + n^2 q), at most MAX_ENTRIES.
     """
     n = _require_int("n", n)
     seed = _require_int("seed", seed)
     _check_sbm_params(n, p, q)
+    _check_entries(2 * (n * (n - 1) * p + n * n * q))
     rng = np.random.Generator(np.random.Philox(key=seed))
     m_intra = n * (n - 1) // 2
-    draws = ((m_intra, p), (m_intra, p), (n * n, q))
     s, dtype = _key_layout(2 * n)
-    hits = [_pair_indices_geometric(rng, m, prob, dtype) for m, prob in draws]
-    keys = np.empty(2 * sum(h.size for h in hits), dtype=dtype)
+    keys = np.empty(0, dtype=dtype)
+    ends = [0]
+    for m, prob in ((m_intra, p), (m_intra, p), (n * n, q)):
+        ends.append(_sample_pairs(rng, m, prob, keys, ends[-1]))
+    # the pair indices move to the upper half, and the keys are written front
+    # to back over them: the keys of the first c edges end at 2c, where the
+    # unread indices start at E + c
+    e = ends[-1]
+    keys.resize(2 * e, refcheck=False)
+    keys[e:] = keys[:e]
     lo = 0
-    for starts, row0, col0 in _pair_blocks(n):
-        # a block's pair indices are freed once its keys are written
-        lo = _write_block(keys, lo, hits.pop(0), starts, row0, col0, s)
+    for (starts, row0, col0), a, b in zip(_pair_blocks(n), ends, ends[1:]):
+        lo = _write_block(keys, lo, keys[e + a : e + b], starts, row0, col0, s)
     return _graph_from_keys(n, keys, s, p, q, seed)
 
 
@@ -396,7 +462,8 @@ def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 
     pairs, each edge once in either orientation. Vertex ids must have an
     integer type; floats, strings and bools are rejected, not converted.
     n, p and q must pass the checks of generate_sbm, so every graph built
-    here saves to text that load_graph reads back."""
+    here saves to text that load_graph reads back, and the graph may have at
+    most MAX_ENTRIES directed entries."""
     n = _require_int("n", n)
     seed = _require_int("seed", seed)
     _check_sbm_params(n, p, q)
@@ -413,9 +480,13 @@ def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 
         and not {bool, np.bool_}.isdisjoint(map(type, itertools.chain.from_iterable(edges)))
     ):
         raise ValueError("each edge must be exactly two integer vertex ids")
+    _check_entries(2 * arr.shape[0])
     if arr.size and (arr.min() < 0 or arr.max() >= nv):
         raise ValueError("edge endpoint out of range")
-    return _graph_from_pairs(n, [arr], p, q, seed)
+    s, dtype = _key_layout(nv)
+    keys = np.empty(arr.size, dtype=dtype)
+    _append_pairs(keys, 0, arr, s)
+    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
 def save_graph(g: Graph, dest) -> None:
@@ -467,7 +538,9 @@ def load_graph(source) -> Graph:
     of the file. Any other character, such as a sign, a decimal point, an
     exponent or a comment, makes the file invalid. The header is as exact:
     n and seed are digits with an optional minus sign, and p and q unsigned
-    decimals with an optional exponent, such as 0.5, 1e-05 or 2.5E+3."""
+    decimals with an optional exponent, such as 0.5, 1e-05 or 2.5E+3. n may
+    be at most MAX_N, and the edges make at most MAX_ENTRIES directed
+    entries."""
     if hasattr(source, "read"):
         return _read_graph(source)
     with open(source, "r", encoding="ascii") as fh:
@@ -493,24 +566,26 @@ def _read_graph(fh) -> Graph:
     n, p, q, seed = int(header[1]), float(header[2]), float(header[3]), int(header[4])
     _check_sbm_params(n, p, q)
     nv = 2 * n
-    dtype = _key_layout(nv)[1]
-    blocks = []
+    s, dtype = _key_layout(nv)
+    keys = np.empty(0, dtype=dtype)
+    end = 0
     tail = []  # the pieces of a line that no block has ended yet
     while chunk := fh.read(READ_BLOCK):
         # a non-ASCII character becomes "?", which the byte classes reject
         data = chunk.encode("ascii", "replace")
         cut = data.rfind(b"\n") + 1
         if cut:
-            blocks.append(_parse_lines(b"".join([*tail, data[:cut]]), nv, dtype))
+            end = _append_pairs(keys, end, _parse_lines(b"".join([*tail, data[:cut]]), nv), s)
             tail = []
         tail.append(data[cut:])
-    blocks.append(_parse_lines(b"".join(tail) + b"\n", nv, dtype))
-    return _graph_from_pairs(n, blocks, p, q, seed)
+    end = _append_pairs(keys, end, _parse_lines(b"".join(tail) + b"\n", nv), s)
+    keys.resize(end, refcheck=False)
+    return _graph_from_keys(n, keys, s, p, q, seed)
 
 
-def _parse_lines(data: bytes, nv: int, dtype) -> np.ndarray:
+def _parse_lines(data: bytes, nv: int) -> np.ndarray:
     # data is whole lines, the last one ending in a line feed; returns their
-    # (u, v) pairs as an (E, 2) array of dtype
+    # (u, v) pairs as an (E, 2) int64 array
     cls = np.take(_BYTE_CLASS, np.frombuffer(data, dtype=np.uint8))
     if not cls.all():
         raise ValueError(_BAD_LINE)
@@ -527,7 +602,7 @@ def _parse_lines(data: bytes, nv: int, dtype) -> np.ndarray:
         raise ValueError(_BAD_LINE)
     count = int(np.count_nonzero(token))
     if not count:
-        return np.empty((0, 2), dtype=dtype)
+        return np.empty((0, 2), dtype=np.int64)
     # fromstring saturates an id too long for int64 at 2**63 - 1, which the
     # range check rejects
     ids = np.fromstring(data, dtype=np.int64, sep=" ")
@@ -535,4 +610,4 @@ def _parse_lines(data: bytes, nv: int, dtype) -> np.ndarray:
         raise ValueError(_BAD_LINE)
     if ids.max() >= nv:
         raise ValueError("edge endpoint out of range")
-    return ids.astype(dtype).reshape(-1, 2)
+    return ids.reshape(-1, 2)

@@ -253,9 +253,8 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     if g.neighbors.size == 0:
         return state_from_member(s.member.copy())
     words = raw.astype("<u8", copy=False).view("<u4").reshape(m, nv)
-    # w < 2^32 and deg < 2^31 (an int32-id graph has at most 2^15 vertices, and
-    # an int64-id vertex of degree 2^31 would hold 16 GiB of ids), so the
-    # int64 product w * deg stays below 2^63
+    # w < 2^32 and deg < 2n <= 2^25 (sbm_graph.MAX_N caps n), so the int64
+    # product w * deg stays below 2^63
     idx = words * g.degrees
     idx >>= 32
     idx += g.offsets[:-1]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import csv
 import json
+import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
@@ -65,10 +66,10 @@ def test_generate_rejects_q_above_p(tmp_path, capsys):
 def test_memory_error_exits_1_with_one_line(monkeypatch, tmp_path, capsys):
     # an allocation inside a subcommand fails as numpy's does on an oversized
     # request; it ended the run with a traceback
-    def no_memory(rng, m, prob, dtype):
+    def no_memory(rng, m, prob, keys, end):
         raise MemoryError("Unable to allocate 19.5 PiB for an array with shape (2,) and data type int64")
 
-    monkeypatch.setattr(vd.sbm_graph, "_pair_indices_geometric", no_memory)
+    monkeypatch.setattr(vd.sbm_graph, "_sample_pairs", no_memory)
     out = tmp_path / "g.txt"
     code = main(["generate", "--n", "20", "--p", "0.4", "--q", "0.1",
                  "--seed", "3", "-o", str(out)])
@@ -101,6 +102,42 @@ def test_bad_graph_file_exits_2(tmp_path, capsys, body, message):
     g.write_text("sbm 2 0.5 0.1 0\n" + body, encoding="utf-8")
     assert main(["simulate", "--graph", str(g), "--model", "bo3", "--seed", "1"]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, header, message",
+    [
+        (["generate", "--n", "100000000", "--p", "0.5", "--q", "0", "--seed", "1"], None,
+         "error: n must be at most 16777216, got 100000000\n"),
+        # 2(n(n-1)p + n^2 q) = 1e10 expected directed entries
+        (["generate", "--n", "100000", "--p", "0.5", "--q", "0", "--seed", "1"], None,
+         "error: a graph may hold at most 2147483648 directed entries, this one 1e+10\n"),
+        # a 28-byte file whose offsets alone would take 14.6 TiB
+        (["simulate", "--model", "bo3", "--seed", "1"], "sbm 1000000000000 0.5 0.1 0\n",
+         "error: n must be at most 16777216, got 1000000000000\n"),
+    ],
+    ids=["n", "entries", "file"],
+)
+def test_oversized_graph_exits_2_before_allocating(tmp_path, capsys, argv, header, message):
+    # each exited 1 with a memory error from numpy's first allocation
+    out = tmp_path / "out"
+    if header is None:
+        argv = [*argv, "-o", str(out)]
+    else:
+        graph = tmp_path / "g.txt"
+        graph.write_text(header, encoding="ascii")
+        assert graph.stat().st_size == 28
+        argv = [*argv, "--graph", str(graph), "-o", str(out)]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert code == 2 and captured.err == message and captured.out == ""
+    assert not out.exists()
+    assert peak < 1 << 20, peak
 
 
 # --- simulate ---

@@ -36,7 +36,6 @@ from votedyn.sbm_graph import (
     _block_edges,
     _key_layout,
     _pair_blocks,
-    _pair_indices_geometric,
 )
 
 
@@ -185,6 +184,45 @@ def test_tiny_probabilities_keep_the_sampler_in_range(n, p, q):
         assert g.num_edges == 0
 
 
+def _whole_chunk_hits(rng: np.random.Generator, m: int, prob: float) -> np.ndarray:
+    # the geometric-skip sampler drawing each chunk of int((m - pos) * prob *
+    # 1.1) + 64 uniforms at once, the reference for the sampled pair indices
+    # and for the generator's position after each block
+    if m == 0 or prob <= 0.0:
+        return np.empty(0, dtype=np.int64)
+    if prob >= 1.0:
+        return np.arange(m)
+    log_skip = math.log1p(-prob)
+    chunks, pos = [], -1
+    while pos < m:
+        u = rng.random(int((m - pos) * prob * 1.1) + 64)
+        gaps = np.floor(np.maximum(np.log1p(-u), (m + 1) * log_skip) / log_skip).astype(np.int64)
+        hits = np.cumsum(gaps + 1) + pos
+        pos = int(hits[-1])
+        chunks.append(hits[hits < m])
+    return np.concatenate(chunks)
+
+
+def _position(rng: np.random.Generator) -> tuple:
+    state = rng.bit_generator.state
+    return (
+        state["state"]["counter"].tolist(),
+        state["state"]["key"].tolist(),
+        state["buffer"].tolist(),
+        state["buffer_pos"],
+    )
+
+
+def _whole_chunk_positions(n: int, p: float, q: float, seed: int) -> list[tuple]:
+    # the generator's position after each of generate_sbm's three blocks
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    positions = []
+    for m, prob in ((math.comb(n, 2), p), (math.comb(n, 2), p), (n * n, q)):
+        _whole_chunk_hits(rng, m, prob)
+        positions.append(_position(rng))
+    return positions
+
+
 def _edge_array(g: Graph) -> np.ndarray:
     src = np.repeat(np.arange(g.num_vertices), g.degrees)
     keep = src < g.neighbors
@@ -243,8 +281,8 @@ def test_row_lookup_enumerates_every_pair():
 @pytest.mark.parametrize("n, width", [(16384, np.int32), (16385, np.int64)])
 def test_both_key_widths_build_the_same_csr(n, width):
     # the widest graph with int32 keys and the narrowest with int64 keys,
-    # against a CSR built by lexsort from the sampler's pairs, unranked by
-    # bisection
+    # against a CSR built by lexsort from the whole-chunk sampler's pairs,
+    # unranked by bisection
     assert _key_layout(2 * n)[1] is width
     p, seed = 1e-4, 6
     g = generate_sbm(n, p, p, seed=seed)
@@ -252,10 +290,10 @@ def test_both_key_widths_build_the_same_csr(n, width):
     starts = [i * (2 * n - 1 - i) // 2 for i in range(n + 1)]
     pairs = []
     for base in (0, n):
-        for k in _pair_indices_geometric(rng, math.comb(n, 2), p, np.int64).tolist():
+        for k in _whole_chunk_hits(rng, math.comb(n, 2), p).tolist():
             i = bisect.bisect_right(starts, k) - 1
             pairs.append((base + i, base + k - starts[i] + i + 1))
-    for k in _pair_indices_geometric(rng, n * n, p, np.int64).tolist():
+    for k in _whole_chunk_hits(rng, n * n, p).tolist():
         pairs.append((k // n, n + k % n))
     u, v = np.array(pairs, dtype=np.int64).T
     src, dst = np.concatenate((u, v)), np.concatenate((v, u))
@@ -265,6 +303,44 @@ def test_both_key_widths_build_the_same_csr(n, width):
         _assert_layout(built)
         assert np.array_equal(built.offsets, offsets)
         assert np.array_equal(built.neighbors, dst[order])
+
+
+def test_graph_size_caps_hold_before_anything_is_allocated(monkeypatch):
+    # n and the directed entries have caps that do not depend on the host:
+    # an oversized n, or an expected entry count past the cap, fails before
+    # any array is made, and the neighbor array refuses to grow past the
+    # entry cap
+    big = sbm_graph.MAX_N + 1
+    builds = [
+        lambda: generate_sbm(big, 0.0, 0.0, seed=0),
+        lambda: generate_sbm(10**5, 0.5, 0.0, seed=0),
+        lambda: graph_from_edges(big, []),
+        lambda: load_graph(io.StringIO(f"sbm {big} 0.5 0.1 0\n0 1\n")),
+    ]
+    tracemalloc.start()
+    try:
+        for build in builds:
+            with pytest.raises(ValueError, match=f"n must be at most {big - 1}|at most 2147483648 directed"):
+                build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    # 904 directed entries where 876 are expected
+    g = generate_sbm(30, 0.4, 0.1, seed=1)
+    text = io.StringIO()
+    save_graph(g, text)
+    monkeypatch.setattr(sbm_graph, "MAX_ENTRIES", g.neighbors.size - 2)
+    for build in [
+        lambda: generate_sbm(30, 0.4, 0.1, seed=1),
+        lambda: graph_from_edges(30, _edge_array(g)),
+        lambda: load_graph(io.StringIO(text.getvalue())),
+    ]:
+        with pytest.raises(ValueError, match=f"at most {g.neighbors.size - 2} directed entries"):
+            build()
+    monkeypatch.setattr(sbm_graph, "MAX_ENTRIES", g.neighbors.size)
+    for h in _rebuilt(g) + [generate_sbm(30, 0.4, 0.1, seed=1)]:
+        assert np.array_equal(h.neighbors, g.neighbors)
 
 
 def test_graph_from_edges_round_trip():
@@ -600,8 +676,19 @@ def test_save_and_load_peaks_stay_within_the_graph_size(tmp_path):
     # peaked at 2.9x and 3.0x, and with all id pairs joined before the keys
     # were written the load peaked at 2.0x. The bounds are per directed
     # entry at 8 B, plus the offsets: with int64 neighbor ids the load
-    # peaked at 1.51x that, and with ids at the int32 key width at 1.02x
-    g = generate_sbm(1000, 0.3, 0.09, seed=1)
+    # peaked at 1.51x that, and with ids at the int32 key width at 1.02x;
+    # grown in fixed steps it peaks at 1.01x, grown by half its size at
+    # 1.21x. The sampler draws and sums in fixed slices, and its pair
+    # indices become the neighbor array: generate peaked at 0.96x while each
+    # block's indices and whole draw chunks were arrays of their own, and
+    # peaks at 0.71x. A first build imports numpy.random, which is not counted
+    generate_sbm(2, 0.5, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        g = generate_sbm(1000, 0.3, 0.09, seed=1)
+        generate_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     size = 8 * g.neighbors.size + g.offsets.nbytes
     path = tmp_path / "g.txt"
     tracemalloc.start()
@@ -614,6 +701,7 @@ def test_save_and_load_peaks_stay_within_the_graph_size(tmp_path):
         load_peak = tracemalloc.get_traced_memory()[1] - before
     finally:
         tracemalloc.stop()
+    assert generate_peak <= 0.8 * size, generate_peak / size
     assert save_peak <= 0.75 * size, save_peak / size
     assert load_peak <= 1.15 * size, load_peak / size
     assert np.array_equal(g2.offsets, g.offsets)
@@ -629,8 +717,9 @@ def peak():
     with open("/proc/self/status") as fh:
         return 1024 * next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
 
-# "wide" samples a graph with int64 keys
-SAMPLED = {"generate": (2000, 0.3, 0.09), "wide": (20000, 0.005, 0.002)}
+# "wide" samples a graph with int64 keys, "deviation" the dense graph of
+# the benchmark's deviation workload
+SAMPLED = {"generate": (2000, 0.3, 0.09), "wide": (20000, 0.005, 0.002), "deviation": (4000, 0.3, 0.09)}
 mode, path = sys.argv[1:]
 before = peak()
 g = load_graph(path) if mode == "load" else generate_sbm(*SAMPLED[mode], seed=1)
@@ -650,9 +739,12 @@ def test_build_peak_rss_per_edge(tmp_path):
     # through exec. With the keys and their widened copy held at once,
     # generate grew by 28.2 B and load by 44.0 B per edge; with the int32
     # keys widened into an int64 neighbor array, by 21.0 B and 19.9 B, and
-    # with the keys kept as the neighbor array, by 18.6 B and 19.9 B. The
-    # int64-key build at n = 20000 grows by 25.8 B per edge; narrowing its
-    # keys into a new int32 array would raise that past 26 B.
+    # with the keys kept as the neighbor array, by 18.6 B and 19.9 B, the
+    # int64-key build at n = 20000 by 25.8 B and the dense n = 4000 one by
+    # 16.9 B. Each freed whole draw chunk raised glibc's mmap threshold, so
+    # later arrays came from a heap that kept its freed pages. Sampled and
+    # parsed straight into the neighbor array, in fixed slices, they grow by
+    # 11.2, 12.0, 18.5 and 8.8 B.
     env = {**os.environ, "PYTHONPATH": str(Path(sbm_graph.__file__).resolve().parents[1])}
     path = str(tmp_path / "g.txt")
 
@@ -660,39 +752,60 @@ def test_build_peak_rss_per_edge(tmp_path):
         cmd = [sys.executable, "-c", _PEAK_GROWTH, mode, path]
         return float(subprocess.run(cmd, env=env, capture_output=True, text=True, check=True).stdout)
 
-    assert growth("generate") <= 20
-    assert growth("load") <= 22
-    assert growth("wide") <= 26
+    assert growth("generate") <= 12
+    assert growth("load") <= 13
+    assert growth("wide") <= 19.5
+    assert growth("deviation") <= 10
+
+
+# the widest int32-keyed and narrowest int64-keyed samples, a graph with
+# both kinds of sampled block, one whose intra-community blocks have p = 1
+# and one whose cross block has q = 0
+SAMPLED_BUILDS = [
+    (16384, 2e-5, 1e-5, 7),
+    (16385, 2e-5, 1e-5, 7),
+    (40, 0.3, 0.1, 2),
+    (30, 1.0, 0.2, 5),
+    (30, 0.4, 0.0, 5),
+]
 
 
 def _builds() -> list[Graph]:
-    # the widest int32-keyed and narrowest int64-keyed samples, and a graph
-    # whose last vertex is isolated, each also through graph_from_edges and
-    # a save/load round trip
-    graphs = [
-        generate_sbm(16384, 2e-5, 1e-5, seed=7),
-        generate_sbm(16385, 2e-5, 1e-5, seed=7),
-        generate_sbm(40, 0.3, 0.1, seed=2),
-        graph_from_edges(3, [(0, 1), (2, 4), (1, 2), (0, 3)]),
-    ]
-    for g in graphs[:4]:
+    # the sampled graphs and a graph whose last vertex is isolated, each also
+    # through graph_from_edges and a save/load round trip
+    graphs = [generate_sbm(*args) for args in SAMPLED_BUILDS]
+    graphs.append(graph_from_edges(3, [(0, 1), (2, 4), (1, 2), (0, 3)]))
+    for g in list(graphs):
         graphs += _rebuilt(g)
     return graphs
 
 
 @pytest.mark.parametrize("block", [1, 3, 64])
 def test_build_blocks_give_the_same_csr(monkeypatch, block):
-    # the widening in blocks of a few entries, whose last blocks overlap
-    # their own keys, and the sampler's row groups of a few edges, against
-    # the default block size, which widens these graphs in one block
+    # slices of a few draws, the array's growth steps, the sampler's row
+    # groups, the key conversion and the duplicate check in blocks of a few
+    # entries, against the default block size, which builds these graphs in
+    # one block. After each sampled block the generator must stand where the
+    # whole-chunk sampler left it, so skipping a chunk's draws past the cut
+    # keeps the stream
     want = _builds()
     assert all(h.neighbors.size <= sbm_graph.BUILD_BLOCK for h in want)
     monkeypatch.setattr(sbm_graph, "BUILD_BLOCK", block)
+    positions = []
+    sample = sbm_graph._sample_pairs
+
+    def sample_and_record(rng, *args):
+        end = sample(rng, *args)
+        positions.append(_position(rng))
+        return end
+
+    monkeypatch.setattr(sbm_graph, "_sample_pairs", sample_and_record)
     got = _builds()
-    for g, h in zip(got, want):
+    for g, h in zip(got, want, strict=True):
         assert np.array_equal(g.offsets, h.offsets)
         assert np.array_equal(g.neighbors, h.neighbors)
         _assert_layout(g)
+    assert positions == [pos for args in SAMPLED_BUILDS for pos in _whole_chunk_positions(*args)]
 
 
 def test_degree_stats_matches_direct_recount():
