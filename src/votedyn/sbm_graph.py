@@ -82,11 +82,14 @@ class Graph:
     degrees: np.ndarray = field(init=False, repr=False)
     isolated: np.ndarray = field(init=False, repr=False)
     # whether count_in uses packed rows, set at construction, then the rows
-    # or a one-block graph's intp ids, made by its first count_in; class
-    # defaults rather than fields, so constructing a graph sets none of them
+    # or a one-block graph's intp ids, made by its first count_in, and the
+    # probability-table keys of voting_core.step_probabilities, made by its
+    # first call; class defaults rather than fields, so constructing a graph
+    # sets none of them
     _packed = False
     _rows = None
     _ids = None
+    _table_base = None
 
     def __post_init__(self):
         degrees = self.offsets[1:] - self.offsets[:-1]

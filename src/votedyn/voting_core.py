@@ -12,6 +12,11 @@ interval", ACM TOMACS 2019) hits each neighbor with floor(2^32/deg) or
 ceil(2^32/deg) of the 2^32 words, a relative deviation from 1/deg below
 deg/2^32 (1.2e-7 at degree 500).
 
+The exact step law is read from each rule's fixed probability table on a
+graph whose largest degree is at most PROB_TABLE_DEG: x only takes the values
+k/d there, and the table holds the clipped law at each of them, computed as
+the Horner path computes it, so both paths give the same bits.
+
 Isolated vertices keep their opinion forever; they still consume their random
 words so the stream layout of a step never depends on the state.
 
@@ -59,16 +64,39 @@ RANGE_GRID = 1000  # rule range check resolution at construction
 STATUS_CONSENSUS = "consensus"
 STATUS_TIMEOUT = "timeout"
 STATUS_STOPPED = "stopped"
+# largest degree read from a rule's probability table: entry d(d+1)/2 + k
+# holds the clipped law at x = k/d, 2080 float64 entries (16.25 KiB) per
+# distinct polynomial. Criterion 7's graphs (degree <= 5) sit below the cap
+# and the concentration probes' dense graphs far above it, where a table
+# grown to the largest degree costs more memory and time than Horner
+PROB_TABLE_DEG = 63
 
 
-@dataclass(eq=False)
+def _table_x() -> np.ndarray:
+    # x = k / max(d, 1) at entry d(d+1)/2 + k, for 0 <= k <= d <= PROB_TABLE_DEG,
+    # the float64 division of the step_probabilities fallback
+    d = np.repeat(np.arange(PROB_TABLE_DEG + 1), np.arange(1, PROB_TABLE_DEG + 2))
+    k = np.arange(d.size) - d * (d + 1) // 2
+    x = k / np.maximum(d, 1)
+    x.setflags(write=False)
+    return x
+
+
+_TABLE_X = _table_x()
+
+
+@dataclass(eq=False, frozen=True)
 class VotingRule:
     """Sampling rule named bo2, bo3 or best_of_<m>, with the polynomials of
     its law; coefficient lists are ascending in degree.
 
     draws is the rule's neighbor samples per vertex, parsed from name, so a
-    rule that cannot sample cannot be built. Coefficients are fixed at
-    construction: the arrays are read-only copies with at least 2 entries.
+    rule that cannot sample cannot be built. A rule is frozen: the
+    coefficients are read-only copies with at least 2 entries, and what is
+    derived from them (draws, the Horner coefficients and the probability
+    tables) is set once at construction. Each distinct polynomial has a
+    read-only table of its law clipped to [0,1] at x = k/d for every degree
+    d <= PROB_TABLE_DEG, of the same size whatever the graph.
     Two rules compare equal only when they are the same object.
     """
 
@@ -77,29 +105,30 @@ class VotingRule:
     f2_coeffs: np.ndarray
     draws: int = field(default=0, init=False)
     # Horner coefficients for step_probabilities: (f1, f2), or (f,) when the
-    # two polynomials are bit-identical
+    # two polynomials are bit-identical, and _tables their clipped laws
     _horner: tuple = field(default=(), init=False, repr=False)
+    _tables: tuple = field(default=(), init=False, repr=False)
 
     def __post_init__(self):
-        self.draws = _draws(self.name)
-        self.f1_coeffs = np.array(self.f1_coeffs, dtype=np.float64, ndmin=1)
-        self.f2_coeffs = np.array(self.f2_coeffs, dtype=np.float64, ndmin=1)
+        object.__setattr__(self, "draws", _draws(self.name))
         grid = np.linspace(0.0, 1.0, RANGE_GRID + 1)
-        for tag, coeffs in (("f1", self.f1_coeffs), ("f2", self.f2_coeffs)):
+        for tag in ("f1", "f2"):
+            coeffs = np.array(getattr(self, f"{tag}_coeffs"), dtype=np.float64, ndmin=1)
             if coeffs.ndim != 1 or coeffs.size < 2:
                 raise ValueError(f"{tag} needs a 1-d list of at least 2 coefficients")
             coeffs.setflags(write=False)
+            object.__setattr__(self, f"{tag}_coeffs", coeffs)
             vals = npoly.polyval(grid, coeffs)
             # slack grows with the Horner forward-error bound so that exact
             # high-degree rules with huge alternating coefficients still pass
             slack = max(1e-9, 2 * len(coeffs) * np.finfo(np.float64).eps * np.abs(coeffs).sum())
             if vals.min() < -slack or vals.max() > 1 + slack:
                 raise ValueError(f"{tag} leaves [0,1] on the probability grid")
-        f1 = _horner_coeffs(self.f1_coeffs)
-        if self.f1_coeffs.tobytes() == self.f2_coeffs.tobytes():
-            self._horner = (f1,)
-        else:
-            self._horner = (f1, _horner_coeffs(self.f2_coeffs))
+        horner = (_horner_coeffs(self.f1_coeffs),)
+        if self.f1_coeffs.tobytes() != self.f2_coeffs.tobytes():
+            horner += (_horner_coeffs(self.f2_coeffs),)
+        object.__setattr__(self, "_horner", horner)
+        object.__setattr__(self, "_tables", tuple(_law_table(c) for c in horner))
 
     @property
     def sampler(self) -> str:
@@ -117,6 +146,14 @@ class VotingRule:
 def _horner_coeffs(coeffs: np.ndarray) -> tuple:
     """Python floats, highest degree first."""
     return tuple(coeffs[::-1].tolist())
+
+
+def _law_table(coeffs: tuple) -> np.ndarray:
+    # the read-only clipped law at every x of _TABLE_X, by the Horner chain
+    # of the step_probabilities fallback, so every entry has its bits
+    table = _horner(coeffs, _TABLE_X).clip(0.0, 1.0)
+    table.setflags(write=False)
+    return table
 
 
 def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
@@ -224,17 +261,51 @@ def to_alpha(d1, d2):
     return (1.0 + d2 + d1) / 2.0, (1.0 + d2 - d1) / 2.0
 
 
+def _check_size(g: Graph, s: OpinionState) -> None:
+    if s.member.size != g.num_vertices:
+        raise ValueError(f"the state has {s.member.size} vertices, the graph {g.num_vertices}")
+
+
+def _table_base(g: Graph):
+    # each vertex's first table entry d(d+1)/2, or False on a graph with a
+    # degree above PROB_TABLE_DEG; made by the graph's first call and kept
+    base = g._table_base
+    if base is None:
+        deg = g.degrees
+        if deg.max(initial=0) > PROB_TABLE_DEG:
+            base = False
+        else:
+            base = deg * (deg + 1) // 2
+            base.setflags(write=False)
+        object.__setattr__(g, "_table_base", base)
+    return base
+
+
 def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarray:
-    """Exact per-vertex probability of holding opinion 1 after one step."""
-    deg = g.degrees
+    """Exact per-vertex probability of holding opinion 1 after one step.
+
+    A graph whose degrees are at most PROB_TABLE_DEG gathers the law from
+    the rule's tables; a graph with a larger degree evaluates it by Horner's
+    rule. Both give the same bits."""
+    _check_size(g, s)
+    count = g.count_in(s.member)
+    base = _table_base(g)
     isolated = g.isolated
-    x = g.count_in(s.member) / (np.maximum(deg, 1) if isolated.size else deg)
-    prob = _horner(rule._horner[0], x)
-    if len(rule._horner) == 2:
-        np.copyto(prob, _horner(rule._horner[1], x), where=~s.member)
+    if base is not False:
+        key = count + base
+        prob = rule._tables[0].take(key)
+        if len(rule._tables) == 2:
+            np.copyto(prob, rule._tables[1].take(key), where=~s.member)
+    else:
+        deg = g.degrees
+        x = count / (np.maximum(deg, 1) if isolated.size else deg)
+        prob = _horner(rule._horner[0], x)
+        if len(rule._horner) == 2:
+            np.copyto(prob, _horner(rule._horner[1], x), where=~s.member)
+        prob.clip(0.0, 1.0, out=prob)
     if isolated.size:
         prob[isolated] = s.member[isolated]
-    return prob.clip(0.0, 1.0, out=prob)
+    return prob
 
 
 def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Generator) -> OpinionState:
@@ -247,6 +318,7 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     (w * deg(v)) >> 32, each neighbor hit with probability 1/deg(v) within a
     relative deg(v)/2^32.
     """
+    _check_size(g, s)
     m = rule.draws
     nv = g.num_vertices
     raw = rng.bit_generator.random_raw(nv * m // 2)
@@ -307,6 +379,7 @@ def run_until_consensus(
     """
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
+    _check_size(g, s0)
     nv = g.num_vertices
     s = s0
     t = 0

@@ -2,13 +2,18 @@
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
 import json
+import signal
 import tracemalloc
 import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import votedyn as vd
 from votedyn import experiment_harness
@@ -513,3 +518,162 @@ def test_goodness_runs_on_tiny_graph(tmp_path):
                  "--seed", "3", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["n"] == 20
+
+
+# --- argv fuzz ---
+
+# each flag's tiny valid values (None marks a bare switch), and the numbers
+# that replace up to two of them in one argv
+_VALID = {
+    "--n": ["1", "2", "3", "6"],
+    "--p": ["0.2", "0.5", "1"],
+    "--q": ["0", "0.1"],
+    "--r": ["0", "0.3", "1"],
+    "--u": ["0.2", "0.5", "0.9"],
+    "--seed": ["0", "7"],
+    "--graph-seed": ["0", "7"],
+    "--model": ["bo3", "bo2", "best_of_5"],
+    "--rule": ["bo3", "bo2", "best_of_5"],
+    "--init": ["half_half", "biased_global(0.2)", "clustered(0.1,0.05)", "exact_counts(1,1)",
+               "random_density(0.5)"],
+    "--trials": ["1", "2"],
+    "--max-steps": ["0", "5", "20"],
+    "--workers": ["1"],
+    "--shared-graph": [None],
+    "--epsilon": ["0.1", "0.5"],
+    "--kappa": ["0.1", "0.2"],
+    "--budget": ["0", "5", "20"],
+    "--budget-c": ["1", "15"],
+    "--t-max": ["0", "5", "20"],
+    "--samples": ["1", "5"],
+    "--grid-step": ["0.1", "0.25", "1"],
+    "--space": ["alpha", "delta"],
+    "--l": ["1", "1,2", "3"],
+    "--sizes": ["1", "2"],
+    "--r-grid": ["0.3", "0,1", "0.1,0.5,1"],
+    "--graph": ["g0.txt", "g1.txt"],
+    "--config": ["c0.json"],
+}
+_EDGE = ["nan", "inf", "-inf", "-0.0", "5e-324", "1e308", "-1", str(2**63)]
+_EDGE_LIST = st.lists(st.sampled_from(_EDGE + ["0", "1", "2"]), min_size=1, max_size=3).map(",".join)
+_BAD = {
+    "--model": st.sampled_from(["best_of_05", "best_of_27", "bo4", ""]),
+    "--init": st.one_of(
+        st.sampled_from(["clustered(", "exact_counts(1.5,1)", "", "bogus(1)", "half_half(1)"]),
+        st.builds(
+            lambda kind, params: f"{kind}({','.join(params)})",
+            st.sampled_from(["biased_global", "clustered", "exact_counts", "random_density"]),
+            st.lists(st.sampled_from(_EDGE + ["0", "0.2", "3"]), max_size=3),
+        ),
+    ),
+    "--space": st.just("beta"),
+    "--l": _EDGE_LIST,
+    "--sizes": _EDGE_LIST,
+    "--r-grid": _EDGE_LIST,
+    "--graph": st.sampled_from(["g2.txt", "g3.txt"]),
+    "--config": st.sampled_from(["c1.json", "c2.json", "c3.json"]),
+}
+_BAD["--rule"] = _BAD["--model"]
+_EXPERIMENT = ["--config", "--model", "--n", "--p", "--r", "--init", "--seed", "--shared-graph", "--workers"]
+# per subcommand: the flags always given, the flags given or not, and an
+# output; trials and steps are always given, so no run falls back to the
+# defaults' thousands of steps
+_COMMANDS = {
+    "generate": (["--n", "--p", "--q"], ["--seed"], ["-o", "out.txt"]),
+    "simulate": (["--model", "--max-steps"], ["--init", "--seed"], []),
+    "analyze": (["--model"], ["--r", "--u"], []),
+    "vector-field": (["--model", "--r"], ["--grid-step", "--space"], []),
+    "sweep": (["--trials", "--max-steps"], [*_EXPERIMENT, "--r-grid"], ["-o", "outdir"]),
+    "sink-persist": (["--trials", "--max-steps"], [*_EXPERIMENT, "--epsilon"], []),
+    "escape": (["--trials", "--max-steps"], [*_EXPERIMENT, "--kappa", "--budget", "--budget-c"], []),
+    "worst-case": (["--trials", "--max-steps"], _EXPERIMENT, ["--csv", "out.csv"]),
+    "deviation": (["--trials", "--max-steps"], [*_EXPERIMENT, "--t-max"], []),
+    "goodness": (["--rule", "--samples"], ["--l", "--sizes", "--seed"], []),
+}
+_GRAPH_SOURCE = (["--n", "--p", "--q"], ["--r", "--graph-seed"])
+_JSON_STDOUT = {"analyze", "sink-persist", "escape", "worst-case", "deviation", "goodness"}
+# flags that set how much work a run does: only these may keep it running
+_WORK_FLAGS = {"--max-steps", "--samples", "--budget", "--budget-c", "--t-max"}
+
+
+def _draw_argv(data, d) -> list[str]:
+    command = data.draw(st.sampled_from(sorted(_COMMANDS)))
+    required, optional, output = _COMMANDS[command]
+    if command in ("simulate", "goodness"):
+        source = data.draw(st.sampled_from([(["--graph"], []), _GRAPH_SOURCE]))
+        required, optional = [*source[0], *required], [*source[1], *optional]
+    flags = required + [f for f in optional if data.draw(st.booleans())]
+    values = [data.draw(st.sampled_from(_VALID[f])) for f in flags]
+    for i in data.draw(st.sets(st.sampled_from(range(len(flags))), max_size=2)):
+        if values[i] is not None:
+            values[i] = data.draw(_BAD.get(flags[i], st.sampled_from(_EDGE)))
+    argv = [command]
+    for flag, value in zip(flags, values):
+        if flag in ("--graph", "--config"):
+            value = str(d / value)
+        argv += [flag] if value is None else [flag, value]
+    return argv + [str(d / tok) if tok.startswith("out") else tok for tok in output]
+
+
+class _Slow(BaseException):
+    # not an Exception, so main cannot report it as an exit code
+    pass
+
+
+def _slow(signum, frame):
+    raise _Slow
+
+
+def _no_constant(name):
+    raise ValueError(f"JSON holds {name}")
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    # the graph and config files the fuzz names: one valid of each, the rest bad
+    d = tmp_path_factory.mktemp("fuzz")
+    vd.save_graph(vd.generate_sbm(2, 0.5, 0.5, seed=1), str(d / "g0.txt"))
+    (d / "g1.txt").write_text("sbm 3 0.5 0 1\n")  # every vertex isolated
+    (d / "g2.txt").write_text("sbm 2 nan 0.1 0\n0 1\n")
+    (d / "g3.txt").write_text(f"sbm {2**63} 0.5 0.1 0\n")
+    for k, text in enumerate([
+        '{"model": "bo3", "n": 2, "p": 0.5, "r": 0.5, "init": "half_half"}',
+        '{"model": "bo2", "n": 1e308, "p": NaN, "r": Infinity}',
+        '{"model": "bo3", "n": 9223372036854775808, "p": 0.5, "r": 0.5, "workers": true}',
+        "[1, 2",
+    ]):
+        (d / f"c{k}.json").write_text(text)
+    return d
+
+
+@settings(max_examples=600, deadline=None, derandomize=True, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_argv_fuzz_exits_0_or_2_with_strict_json(fuzz_dir, data):
+    # every subcommand on tiny sizes with up to two adversarial values: a
+    # run either succeeds with finite JSON or is refused with exit 2, never
+    # with a traceback or exit 1; a run still going after the alarm must
+    # have asked for a huge amount of work
+    argv = _draw_argv(data, fuzz_dir)
+    out, err = io.StringIO(), io.StringIO()
+    old = signal.signal(signal.SIGALRM, _slow)
+    signal.setitimer(signal.ITIMER_REAL, 2.0)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    except SystemExit as exc:  # argparse's usage errors
+        code = exc.code
+    except _Slow:
+        huge = [a for a, v in zip(argv, argv[1:]) if a in _WORK_FLAGS and v in ("1e308", str(2**63))]
+        assert huge, f"still running after 2 s: {argv}"
+        return
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+    assert code in (0, 2), (argv, code, err.getvalue())
+    assert "Traceback" not in err.getvalue(), argv
+    if code == 0:
+        texts = [out.getvalue()] if argv[0] in _JSON_STDOUT else []
+        if argv[0] == "sweep":
+            texts.append((fuzz_dir / "outdir" / "summary.json").read_text())
+        for text in texts:
+            json.loads(text, parse_constant=_no_constant)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import io
 import math
@@ -238,14 +239,36 @@ def _sbm_with_isolated_vertices():
     return g
 
 
+def _hub_graph(n, hub_degree, isolated=()):
+    # vertex 0 is joined to the first hub_degree of the other vertices,
+    # which are joined among themselves at random, avoiding the isolated ones
+    rng = np.random.default_rng(hub_degree)
+    nv = 2 * n
+    rest = [v for v in range(1, nv) if v not in isolated]
+    edges = [(0, v) for v in rest[:hub_degree]]
+    edges += [(u, v) for u in rest for v in rest if u < v and rng.random() < 0.2]
+    g = graph_from_edges(n, edges)
+    assert int(g.degrees.max()) == hub_degree
+    assert np.flatnonzero(g.degrees == 0).tolist() == sorted(isolated)
+    return g
+
+
 def test_step_probabilities_match_polyval_reference_bit_for_bit():
-    graphs = [_sbm_with_isolated_vertices(), graph_from_edges(3, [])]
+    cap = vd.voting_core.PROB_TABLE_DEG
+    graphs = [
+        _sbm_with_isolated_vertices(),  # isolated vertices below the cap
+        graph_from_edges(3, []),
+        _hub_graph(32, cap),  # the table path at its largest degree
+        _hub_graph(33, cap + 1, isolated=(65,)),  # the Horner path
+    ]
+    assert int(graphs[0].degrees.max()) < cap
     rules = [
         make_rule_bo3(),
         make_rule_bo2(),
         make_rule_best_of(2),
         make_rule_best_of(12),  # the widest rule
     ]
+    tables = [rule._tables for rule in rules]
     rng = np.random.default_rng(8)
     for g in graphs:
         nv = g.num_vertices
@@ -258,6 +281,14 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
                 want = _reference_step_probabilities(g, member, rule)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (rule.name, nv)
+    # one read-only table per distinct polynomial, of a size fixed by the cap
+    # alone, and no graph replaced it
+    for rule, before in zip(rules, tables):
+        assert rule._tables is before
+        assert len(before) == (1 if rule.name != "bo2" else 2)
+        for table in before:
+            assert not table.flags.writeable
+            assert table.shape == ((cap + 1) * (cap + 2) // 2,)
 
 
 def _reference_step_sampling(g, member, rule, bitgen):
@@ -440,6 +471,34 @@ def test_rule_coefficients_are_fixed_at_construction():
     for f1 in ([], [[0.5, 0.5]], [0.5], 0.5):  # empty, nested, one coefficient, scalar
         with pytest.raises(ValueError, match="at least 2 coefficients"):
             vd.VotingRule("bo3", f1, [0.0, 1.0])
+
+
+def test_rule_fields_cannot_be_reassigned():
+    # what step_probabilities reads is derived at construction, so a new
+    # polynomial assigned later would leave the rule on its old law
+    rule = make_rule_bo3()
+    for name in ("name", "f1_coeffs", "f2_coeffs", "draws", "_horner", "_tables"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(rule, name, np.array([0.0, 1.0]))
+    g = graph_from_edges(2, [(0, 1), (1, 2), (2, 3)])
+    s = state_from_member(np.array([True, False, False, True]))
+    assert step_probabilities(g, s, rule)[1] == rule.f2(0.5)
+
+
+def test_a_state_of_another_size_is_rejected():
+    # a 6-vertex state on the 4-vertex path graph used to be read at the
+    # wrong vertices, stepped to a 4-vertex state, and taken for consensus
+    g = graph_from_edges(2, [(0, 1), (1, 2), (2, 3)])
+    s = state_from_member(np.array([True, True, False, False, False, False]))
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ValueError, match="6 vertices, the graph 4"):
+        step_probabilities(g, s, make_rule_bo3())
+    with pytest.raises(ValueError, match="6 vertices, the graph 4"):
+        step_sampling(g, s, make_rule_bo3(), rng)
+    with pytest.raises(ValueError, match="6 vertices, the graph 4"):
+        run_until_consensus(g, s, make_rule_bo3(), 10, rng)
+    assert rng.bit_generator.state == before  # nothing was drawn
 
 
 def test_rule_compares_by_identity():
