@@ -47,10 +47,8 @@ from .induced_dynamics import (
     induced_map,
     u_of_r,
     r_of_u,
-    eval_H,
     eval_T_bo3,
     eval_T_bo2,
-    eval_T_generic,
     iterate,
 )
 from .fixed_point_analysis import (
@@ -62,14 +60,8 @@ from .fixed_point_analysis import (
     Matrix2,
     FixedPointReport,
     ThresholdResult,
-    fixed_points_bo3,
-    fixed_points_bo2,
     fixed_point_locations,
     jacobian_analytic,
-    jacobian_numeric,
-    eigen_2x2,
-    singular_values_2x2,
-    classify,
     analyze,
     eigen_table,
     threshold_r,
@@ -77,11 +69,6 @@ from .fixed_point_analysis import (
 )
 from .concentration_probe import (
     w_stat,
-    w_hat,
-    w_concentration_scan,
-    p2_scan,
-    p3_scan,
-    variance_profile,
     goodness_report,
 )
 from .experiment_harness import (
@@ -94,7 +81,6 @@ from .experiment_harness import (
     trajectory_deviation,
     escape_time,
     worst_case_scan,
-    adversarial_families,
     write_results_csv,
 )
 

@@ -12,7 +12,6 @@ and live with the callers; nothing here inherits asymptotic constants.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 import csv
 import hashlib
@@ -187,6 +186,9 @@ def run_trials(
         task.update(mode_params or {})
         tasks.append(task)
     if cfg.workers > 1:
+        # imported here, so a run without a pool never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         # one chunk per worker, so a shared graph is pickled once per worker
         chunk = -(-len(tasks) // cfg.workers)
         with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunk)) as pool:

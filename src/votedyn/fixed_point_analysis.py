@@ -6,14 +6,16 @@ below one), threshold detection for the saddle-to-sink transition of the
 interior axis point, and the competitive-map sign/determinant checks.
 
 Ground truth for Jacobians is always the general-form matrix evaluated at the
-closed-form location, cross-checked by central finite differences; per-point
-specialized formulas live in the test suite as secondary oracles.
+closed-form location. The test suite cross-checks it by central finite
+differences of the induced map (tests/oracles.py) and keeps per-point
+specialized formulas as secondary oracles.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 import math
+from typing import Callable
 
 import numpy as np
 
@@ -35,7 +37,6 @@ __all__ = [
     "fixed_points_bo2",
     "fixed_point_locations",
     "jacobian_analytic",
-    "jacobian_numeric",
     "eigen_2x2",
     "singular_values_2x2",
     "classify",
@@ -45,7 +46,6 @@ __all__ = [
     "competitive_checks",
 ]
 
-MODELS = ("bo3", "bo2")
 FP_IDS = ("d1*", "d2*", "d3*", "d4*")
 
 CLASS_CONSENSUS = "consensus_superattracting"
@@ -120,55 +120,61 @@ def fixed_points_bo2(u: float) -> dict[str, tuple[float, float]]:
     return pts
 
 
-def _check_closed_form(model: str) -> None:
-    if model not in MODELS:
+def _jac_bo3(u: float, d1, d2):
+    core = 1.0 - (u * d1) ** 2 - d2**2
+    return 1.5 * u * core, -3.0 * u * d1 * d2, -3.0 * u * u * d1 * d2, 1.5 * core
+
+
+def _jac_bo2(u: float, d1, d2):
+    j11 = 0.5 * (2.0 * u + 1.0 - 3.0 * (u * d1) ** 2 - (2.0 * u + 1.0) * d2**2)
+    j12 = -(2.0 * u + 1.0) * d1 * d2
+    j21 = -u * (u + 2.0) * d1 * d2
+    j22 = 0.5 * (3.0 - u * (2.0 + u) * d1**2 - 3.0 * d2**2)
+    return j11, j12, j21, j22
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """One model's closed forms, the one place each fact lives: locations(u)
+    -> {id: (d1, d2)}, the general-form Jacobian jac_entries(u, d1, d2), the
+    threshold u* and r* = r_of_u(u*), and a u bracket around u* to bisect."""
+
+    locations: Callable
+    jac_entries: Callable
+    u_star: float
+    r_star: float
+    bracket: tuple[float, float]
+
+
+_CLOSED_FORMS = {
+    "bo3": _ClosedForm(fixed_points_bo3, _jac_bo3, 0.75, 1.0 / 7.0, (2.0 / 3.0, 1.0)),
+    "bo2": _ClosedForm(
+        fixed_points_bo2, _jac_bo2, (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(5.0) - 2.0, (0.5, 1.0)
+    ),
+}
+MODELS = tuple(_CLOSED_FORMS)
+
+
+def _closed_form(model: str) -> _ClosedForm:
+    form = _CLOSED_FORMS.get(model)
+    if form is None:
         raise ValueError(f"no closed form for model {model!r}: the closed forms exist for bo3 and bo2 only")
+    return form
 
 
 def fixed_point_locations(model: str, u: float) -> dict[str, tuple[float, float]]:
-    _check_closed_form(model)
-    return fixed_points_bo3(u) if model == "bo3" else fixed_points_bo2(u)
+    return _closed_form(model).locations(u)
 
 
 def _jac_entries(model: str, u: float, d1, d2):
     """General-form Jacobian entries; d1/d2 may be arrays."""
-    _check_closed_form(model)
-    d1 = np.asarray(d1, dtype=np.float64)
-    d2 = np.asarray(d2, dtype=np.float64)
-    if model == "bo3":
-        core = 1.0 - (u * d1) ** 2 - d2**2
-        j11 = 1.5 * u * core
-        j12 = -3.0 * u * d1 * d2
-        j21 = -3.0 * u * u * d1 * d2
-        j22 = 1.5 * core
-    else:
-        j11 = 0.5 * (2.0 * u + 1.0 - 3.0 * (u * d1) ** 2 - (2.0 * u + 1.0) * d2**2)
-        j12 = -(2.0 * u + 1.0) * d1 * d2
-        j21 = -u * (u + 2.0) * d1 * d2
-        j22 = 0.5 * (3.0 - u * (2.0 + u) * d1**2 - 3.0 * d2**2)
-    return j11, j12, j21, j22
+    jac = _closed_form(model).jac_entries
+    return jac(u, np.asarray(d1, dtype=np.float64), np.asarray(d2, dtype=np.float64))
 
 
 def jacobian_analytic(model: str, u: float, d) -> Matrix2:
     j11, j12, j21, j22 = _jac_entries(model, u, d[0], d[1])
     return Matrix2(float(j11), float(j12), float(j21), float(j22))
-
-
-def jacobian_numeric(m: idyn.InducedMap, d) -> Matrix2:
-    """Central-difference Jacobian of the map at d, in the map's own space,
-    with step 1e-6."""
-    h = 1e-6
-    x, y = float(d[0]), float(d[1])
-    fx_p = m.eval((x + h, y))
-    fx_m = m.eval((x - h, y))
-    fy_p = m.eval((x, y + h))
-    fy_m = m.eval((x, y - h))
-    return Matrix2(
-        (fx_p[0] - fx_m[0]) / (2 * h),
-        (fy_p[0] - fy_m[0]) / (2 * h),
-        (fx_p[1] - fx_m[1]) / (2 * h),
-        (fy_p[1] - fy_m[1]) / (2 * h),
-    )
 
 
 def eigen_2x2(m: Matrix2) -> tuple[complex, complex]:
@@ -324,10 +330,6 @@ class ThresholdResult:
         )
 
 
-_ANALYTIC_U_STAR = {"bo3": 0.75, "bo2": (math.sqrt(5.0) - 1.0) / 2.0}
-_ANALYTIC_R_STAR = {"bo3": 1.0 / 7.0, "bo2": math.sqrt(5.0) - 2.0}
-
-
 def threshold_r(model: str) -> ThresholdResult:
     """Locate the u where the leading eigenvalue at the axis point crosses 1,
     by bisection on the general-form Jacobian, and return r* = r_of_u(u*).
@@ -335,15 +337,14 @@ def threshold_r(model: str) -> ThresholdResult:
     Raises if the numeric crossing disagrees with the closed-form value
     beyond 1e-9.
     """
-    _check_closed_form(model)
+    form = _closed_form(model)
 
     def excess(u: float) -> float:
         loc = fixed_point_locations(model, u)["d2*"]
         l1, _ = eigen_2x2(jacobian_analytic(model, u, loc))
         return abs(l1) - 1.0
 
-    lo, hi = (2.0 / 3.0, 1.0) if model == "bo3" else (0.5, 1.0)
-    bracket = (lo, hi)
+    lo, hi = bracket = form.bracket
     if not (excess(lo) > 0.0 > excess(hi)):
         raise RuntimeError("threshold bracket does not straddle the crossing")
     iterations = 0
@@ -359,8 +360,8 @@ def threshold_r(model: str) -> ThresholdResult:
         model=model,
         r_star=idyn.r_of_u(u_star),
         u_star=u_star,
-        analytic_r=_ANALYTIC_R_STAR[model],
-        analytic_u=_ANALYTIC_U_STAR[model],
+        analytic_r=form.r_star,
+        analytic_u=form.u_star,
         iterations=iterations,
         bracket=bracket,
     )

@@ -503,9 +503,10 @@ def save_graph(g: Graph, dest) -> None:
 
 
 # directed neighbor entries per write block, and characters per read block;
-# either bounds the text buffers of one block
+# either bounds the text buffers of one block. A read block's parse
+# temporaries stay in the heap after the load: several MiB at 2^18 characters
 WRITE_BLOCK = 1 << 16
-READ_BLOCK = 1 << 18
+READ_BLOCK = 1 << 16
 
 
 def _write_graph(g: Graph, fh) -> None:

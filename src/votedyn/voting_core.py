@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from numpy.polynomial import polynomial as npoly
 
 from .sbm_graph import Graph
 
@@ -104,7 +103,7 @@ class VotingRule:
     f1_coeffs: np.ndarray
     f2_coeffs: np.ndarray
     draws: int = field(default=0, init=False)
-    # Horner coefficients for step_probabilities: (f1, f2), or (f,) when the
+    # Horner coefficients, the law's one evaluator: (f1, f2), or (f,) when the
     # two polynomials are bit-identical, and _tables their clipped laws
     _horner: tuple = field(default=(), init=False, repr=False)
     _tables: tuple = field(default=(), init=False, repr=False)
@@ -112,22 +111,23 @@ class VotingRule:
     def __post_init__(self):
         object.__setattr__(self, "draws", _draws(self.name))
         grid = np.linspace(0.0, 1.0, RANGE_GRID + 1)
+        horner = []
         for tag in ("f1", "f2"):
             coeffs = np.array(getattr(self, f"{tag}_coeffs"), dtype=np.float64, ndmin=1)
             if coeffs.ndim != 1 or coeffs.size < 2:
                 raise ValueError(f"{tag} needs a 1-d list of at least 2 coefficients")
             coeffs.setflags(write=False)
             object.__setattr__(self, f"{tag}_coeffs", coeffs)
-            vals = npoly.polyval(grid, coeffs)
+            horner.append(_horner_coeffs(coeffs))
+            vals = _horner(horner[-1], grid)
             # slack grows with the Horner forward-error bound so that exact
             # high-degree rules with huge alternating coefficients still pass
             slack = max(1e-9, 2 * len(coeffs) * np.finfo(np.float64).eps * np.abs(coeffs).sum())
             if vals.min() < -slack or vals.max() > 1 + slack:
                 raise ValueError(f"{tag} leaves [0,1] on the probability grid")
-        horner = (_horner_coeffs(self.f1_coeffs),)
-        if self.f1_coeffs.tobytes() != self.f2_coeffs.tobytes():
-            horner += (_horner_coeffs(self.f2_coeffs),)
-        object.__setattr__(self, "_horner", horner)
+        if self.f1_coeffs.tobytes() == self.f2_coeffs.tobytes():
+            del horner[1]
+        object.__setattr__(self, "_horner", tuple(horner))
         object.__setattr__(self, "_tables", tuple(_law_table(c) for c in horner))
 
     @property
@@ -137,10 +137,10 @@ class VotingRule:
         return self.name
 
     def f1(self, x):
-        return npoly.polyval(x, self.f1_coeffs)
+        return _horner(self._horner[0], x)
 
     def f2(self, x):
-        return npoly.polyval(x, self.f2_coeffs)
+        return _horner(self._horner[-1], x)
 
 
 def _horner_coeffs(coeffs: np.ndarray) -> tuple:
@@ -156,10 +156,10 @@ def _law_table(coeffs: tuple) -> np.ndarray:
     return table
 
 
-def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+def _horner(coeffs: tuple, x):
     # polyval's operation order (c0 = c[-i] + c0*x) without its per-call
-    # argument checks and numpy-scalar coefficients; bit for bit the same
-    # while the leading coefficient is non-zero, as in every built-in rule
+    # argument checks and numpy-scalar coefficients; bit for bit the same, on
+    # arrays and scalars, while the leading coefficient is non-zero
     acc = x * coeffs[0]
     acc += coeffs[1]
     for c in coeffs[2:]:

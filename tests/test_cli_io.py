@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import inspect
 import io
 import json
+import os
+from pathlib import Path
 import signal
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 
@@ -43,6 +48,46 @@ def svg_stats(path) -> dict:
         "filled": len(filled),
         "labels": labels,
     }
+
+
+# --- package surface ---
+
+
+def test_top_level_exports_are_pinned():
+    # what the README, the CLI and the acceptance battery name, with the types
+    # and constants they take or return; everything else is imported from its
+    # module, so a new top-level name is a visible decision
+    exported = {name for name, value in vars(vd).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    assert exported == {
+        "CLASS_CONSENSUS", "CLASS_MARGINAL", "CLASS_SADDLE", "CLASS_SINK", "CLASS_SOURCE",
+        "DegreeStats", "ExperimentConfig", "FixedPointReport", "Graph", "InducedMap",
+        "InitFamily", "Matrix2", "OpinionState", "STATUS_CONSENSUS", "STATUS_STOPPED",
+        "STATUS_TIMEOUT", "ThresholdResult", "Trajectory", "TrialRecord", "VotingRule",
+        "analyze", "biased_global", "clustered", "competitive_checks", "degree_stats",
+        "derive_seed", "eigen_table", "escape_time", "eval_T_bo2", "eval_T_bo3",
+        "exact_counts", "fixed_point_locations", "fractions", "generate_sbm",
+        "goodness_report", "graph_from_edges", "half_half", "induced_map", "iterate",
+        "jacobian_analytic", "load_graph", "make_initial", "make_rule_best_of",
+        "make_rule_bo2", "make_rule_bo3", "parse_init_family", "phase_sweep", "r_of_u",
+        "random_density", "rule_from_name", "run_trials", "run_until_consensus",
+        "save_graph", "sink_persistence", "state_from_member", "step_probabilities",
+        "step_sampling", "threshold_r", "to_alpha", "to_delta", "trajectory_deviation",
+        "u_of_r", "w_stat", "worst_case_scan", "write_results_csv", "write_trajectory_csv",
+    }
+
+
+def test_cli_import_loads_no_pool_or_polynomial_module():
+    # a fresh process: the command's set-up loads neither numpy's polynomial
+    # package nor the process pool, which only a run with workers > 1 imports
+    code = (
+        "import sys\n"
+        "from votedyn import cli_io\n"
+        "cli_io.build_parser()\n"
+        "print(sorted({'numpy.polynomial', 'concurrent.futures.process', 'multiprocessing'} & set(sys.modules)))\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(vd.__file__).resolve().parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 # --- generate ---

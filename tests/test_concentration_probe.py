@@ -17,15 +17,11 @@ from votedyn import (
     make_initial,
     make_rule_bo2,
     make_rule_bo3,
-    p2_scan,
-    p3_scan,
     parse_init_family,
     state_from_member,
-    variance_profile,
-    w_concentration_scan,
-    w_hat,
     w_stat,
 )
+from votedyn.concentration_probe import p2_scan, p3_scan, variance_profile, w_concentration_scan, w_hat
 from votedyn.sbm_graph import Graph
 
 from . import oracles

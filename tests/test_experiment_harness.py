@@ -14,7 +14,6 @@ import pytest
 import votedyn as vd
 from votedyn import (
     ExperimentConfig,
-    adversarial_families,
     derive_seed,
     escape_time,
     fixed_point_locations,
@@ -29,7 +28,7 @@ from votedyn import (
 )
 from votedyn import experiment_harness
 from votedyn.cli_io import main
-from votedyn.experiment_harness import MAX_TRIALS, MAX_WORKERS, RESULTS_HEADER
+from votedyn.experiment_harness import MAX_TRIALS, MAX_WORKERS, RESULTS_HEADER, adversarial_families
 
 
 class _InlinePool:
@@ -147,7 +146,7 @@ def test_run_trials_workers_byte_identical():
 
 
 def test_pool_has_no_more_workers_than_chunks(monkeypatch):
-    monkeypatch.setattr(experiment_harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     cfg = small_cfg(trials=2, max_steps=5)
     serial = run_trials(cfg, "exp1")
@@ -158,7 +157,7 @@ def test_pool_has_no_more_workers_than_chunks(monkeypatch):
 
 
 def test_cli_rejects_workers_above_the_cap(monkeypatch, capsys, tmp_path):
-    monkeypatch.setattr(experiment_harness, "ProcessPoolExecutor", _InlinePool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", _InlinePool)
     monkeypatch.setattr(_InlinePool, "sizes", [])
     code = main(["sweep", "--model", "bo3", "--n", "20", "--p", "0.4", "--trials", "2",
                  "--max-steps", "5", "--r-grid", "0.3", "--workers", str(MAX_WORKERS + 1),

@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 import votedyn as vd
 from votedyn import (
-    eval_H,
     eval_T_bo2,
     eval_T_bo3,
-    eval_T_generic,
     fixed_point_locations,
     induced_map,
     iterate,
@@ -24,6 +22,7 @@ from votedyn import (
     r_of_u,
     u_of_r,
 )
+from votedyn.induced_dynamics import eval_H, eval_T_generic
 
 from . import oracles
 

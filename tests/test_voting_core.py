@@ -254,6 +254,14 @@ def _hub_graph(n, hub_degree, isolated=()):
 
 
 def test_step_probabilities_match_polyval_reference_bit_for_bit():
+    # the law itself: every rule's f1 and f2 equal polyval bit for bit on a
+    # fine grid, on seeded uniforms and on scalars
+    xs = [np.linspace(0.0, 1.0, 200_001), np.random.default_rng(21).random(10**6), 0, 1 / 3, 0.3, 1]
+    for name in ["bo2", "bo3"] + [f"best_of_{m}" for m in range(3, 26, 2)]:
+        rule = vd.rule_from_name(name)
+        for f, coeffs in ((rule.f1, rule.f1_coeffs), (rule.f2, rule.f2_coeffs)):
+            for x in xs:
+                assert np.array(f(x)).tobytes() == np.array(npoly.polyval(x, coeffs)).tobytes(), name
     cap = vd.voting_core.PROB_TABLE_DEG
     graphs = [
         _sbm_with_isolated_vertices(),  # isolated vertices below the cap
