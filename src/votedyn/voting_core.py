@@ -14,8 +14,9 @@ deg/2^32 (1.2e-7 at degree 500).
 
 The exact step law is read from each rule's fixed probability table on a
 graph whose largest degree is at most PROB_TABLE_DEG: x only takes the values
-k/d there, and the table holds the clipped law at each of them, computed as
-the Horner path computes it, so both paths give the same bits.
+k/d there, and the table holds the clipped law at each of them for either
+opinion, computed as the Horner path computes it, so both paths give the
+same bits.
 
 Isolated vertices keep their opinion forever; they still consume their random
 words so the stream layout of a step never depends on the state.
@@ -64,8 +65,8 @@ STATUS_CONSENSUS = "consensus"
 STATUS_TIMEOUT = "timeout"
 STATUS_STOPPED = "stopped"
 # largest degree read from a rule's probability table: entry d(d+1)/2 + k
-# holds the clipped law at x = k/d, 2080 float64 entries (16.25 KiB) per
-# distinct polynomial. Criterion 7's graphs (degree <= 5) sit below the cap
+# of each half holds the clipped law at x = k/d, 2 x 2081 float64 entries
+# (32.5 KiB) per rule. Criterion 7's graphs (degree <= 5) sit below the cap
 # and the concentration probes' dense graphs far above it, where a table
 # grown to the largest degree costs more memory and time than Horner
 PROB_TABLE_DEG = 63
@@ -82,6 +83,9 @@ def _table_x() -> np.ndarray:
 
 
 _TABLE_X = _table_x()
+# entries per half of a rule's table: the law at every x of _TABLE_X, then
+# the value of an isolated vertex, which keeps its opinion
+_HALF = _TABLE_X.size + 1
 
 
 @dataclass(eq=False, frozen=True)
@@ -91,12 +95,13 @@ class VotingRule:
 
     draws is the rule's neighbor samples per vertex, parsed from name, so a
     rule that cannot sample cannot be built. A rule is frozen: the
-    coefficients are read-only copies with at least 2 entries, and what is
-    derived from them (draws, the Horner coefficients and the probability
-    tables) is set once at construction. Each distinct polynomial has a
-    read-only table of its law clipped to [0,1] at x = k/d for every degree
-    d <= PROB_TABLE_DEG, of the same size whatever the graph.
-    Two rules compare equal only when they are the same object.
+    coefficients are finite read-only copies with at least 2 entries, and
+    what is derived from them (draws, the Horner coefficients and the
+    probability table) is set once at construction. The read-only table
+    holds the law clipped to [0,1] at x = k/d for every degree d <=
+    PROB_TABLE_DEG, f2 in its first half and f1 in its second, of the same
+    size whatever the graph. Two rules compare equal only when they are the
+    same object.
     """
 
     name: str
@@ -104,9 +109,9 @@ class VotingRule:
     f2_coeffs: np.ndarray
     draws: int = field(default=0, init=False)
     # Horner coefficients, the law's one evaluator: (f1, f2), or (f,) when the
-    # two polynomials are bit-identical, and _tables their clipped laws
+    # two polynomials are bit-identical, and _table their clipped laws
     _horner: tuple = field(default=(), init=False, repr=False)
-    _tables: tuple = field(default=(), init=False, repr=False)
+    _table: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "draws", _draws(self.name))
@@ -116,6 +121,9 @@ class VotingRule:
             coeffs = np.array(getattr(self, f"{tag}_coeffs"), dtype=np.float64, ndmin=1)
             if coeffs.ndim != 1 or coeffs.size < 2:
                 raise ValueError(f"{tag} needs a 1-d list of at least 2 coefficients")
+            # a NaN fails no comparison of the range check below
+            if not np.isfinite(coeffs).all():
+                raise ValueError(f"{tag} needs finite coefficients")
             coeffs.setflags(write=False)
             object.__setattr__(self, f"{tag}_coeffs", coeffs)
             horner.append(_horner_coeffs(coeffs))
@@ -128,7 +136,7 @@ class VotingRule:
         if self.f1_coeffs.tobytes() == self.f2_coeffs.tobytes():
             del horner[1]
         object.__setattr__(self, "_horner", tuple(horner))
-        object.__setattr__(self, "_tables", tuple(_law_table(c) for c in horner))
+        object.__setattr__(self, "_table", _law_table(horner))
 
     @property
     def sampler(self) -> str:
@@ -148,10 +156,17 @@ def _horner_coeffs(coeffs: np.ndarray) -> tuple:
     return tuple(coeffs[::-1].tolist())
 
 
-def _law_table(coeffs: tuple) -> np.ndarray:
-    # the read-only clipped law at every x of _TABLE_X, by the Horner chain
-    # of the step_probabilities fallback, so every entry has its bits
-    table = _horner(coeffs, _TABLE_X).clip(0.0, 1.0)
+def _law_table(horner: tuple) -> np.ndarray:
+    # the read-only clipped law of a vertex holding opinion 2 (f2), then of
+    # one holding opinion 1 (f1), at every x of _TABLE_X, by the Horner chain
+    # of the step_probabilities fallback, so every entry has its bits; each
+    # half ends in its isolated vertex's opinion, 0.0 and then 1.0
+    table = np.empty(2 * _HALF)
+    table[: _HALF - 1] = _horner(horner[-1], _TABLE_X)
+    table[_HALF - 1] = 0.0
+    table[_HALF:-1] = _horner(horner[0], _TABLE_X)
+    table[-1] = 1.0
+    table.clip(0.0, 1.0, out=table)
     table.setflags(write=False)
     return table
 
@@ -225,27 +240,40 @@ def rule_from_name(name: str) -> VotingRule:
     return make_rule_best_of((m - 1) // 2)
 
 
-@dataclass
+@dataclass(frozen=True)
 class OpinionState:
-    """Vertices holding opinion 1 as a boolean mask, with per-community counts."""
+    """Vertices holding opinion 1 as a read-only boolean mask, with
+    per-community counts. A state is frozen and owns its mask, so what is
+    derived from the mask stays true: _count keeps (graph, neighbor count,
+    table keys or None) of the last graph step_probabilities counted the
+    state on."""
 
     member: np.ndarray
     count1: int
     count2: int
+    _count: tuple = field(default=(None, None, None), init=False, compare=False, repr=False)
 
     @property
     def n(self) -> int:
         return self.member.size // 2
 
 
-def state_from_member(member: np.ndarray) -> OpinionState:
-    member = np.asarray(member, dtype=bool)
+def state_from_member(member) -> OpinionState:
+    """The state of a 1-d mask of even length, 2n vertices, copied to a
+    read-only array, so changing the caller's array leaves the state as it
+    was."""
+    member = np.array(member, dtype=bool)
+    if member.ndim != 1 or member.size % 2:
+        raise ValueError(f"a state needs a 1-d mask of even length, got shape {member.shape}")
+    return _own_state(member)
+
+
+def _own_state(member: np.ndarray) -> OpinionState:
+    # the state of a fresh 1-d bool mask of even length that nothing else
+    # holds, made read-only in place without a copy
+    member.setflags(write=False)
     n = member.size // 2
-    return OpinionState(
-        member=member,
-        count1=int(np.count_nonzero(member[:n])),
-        count2=int(np.count_nonzero(member[n:])),
-    )
+    return OpinionState(member, int(np.count_nonzero(member[:n])), int(np.count_nonzero(member[n:])))
 
 
 def fractions(s: OpinionState) -> tuple[float, float]:
@@ -267,44 +295,57 @@ def _check_size(g: Graph, s: OpinionState) -> None:
 
 
 def _table_base(g: Graph):
-    # each vertex's first table entry d(d+1)/2, or False on a graph with a
-    # degree above PROB_TABLE_DEG; made by the graph's first call and kept
-    base = g._table_base
-    if base is None:
-        deg = g.degrees
-        if deg.max(initial=0) > PROB_TABLE_DEG:
-            base = False
-        else:
-            base = deg * (deg + 1) // 2
-            base.setflags(write=False)
-        object.__setattr__(g, "_table_base", base)
+    # each vertex's first entry d(d+1)/2 in a half of the table, the last
+    # entry for an isolated vertex, whose count is 0, or False on a graph
+    # with a degree above PROB_TABLE_DEG; made by the graph's first call
+    # and kept
+    deg = g.degrees
+    if deg.max(initial=0) > PROB_TABLE_DEG:
+        base = False
+    else:
+        base = deg * (deg + 1) // 2
+        base[g.isolated] = _HALF - 1
+        base.setflags(write=False)
+    object.__setattr__(g, "_table_base", base)
     return base
 
 
 def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarray:
     """Exact per-vertex probability of holding opinion 1 after one step.
 
-    A graph whose degrees are at most PROB_TABLE_DEG gathers the law from
-    the rule's tables; a graph with a larger degree evaluates it by Horner's
-    rule. Both give the same bits."""
+    The neighbor count of s on g, and its table keys, are made once and
+    kept with s, so further calls on the same graph, under any rule, reuse
+    them. A graph whose degrees are at most PROB_TABLE_DEG gathers the law
+    from the rule's table by those keys, which hold each vertex's degree,
+    count and own opinion; a graph with a larger degree evaluates it by
+    Horner's rule. Both give the same bits."""
+    member = s.member
     _check_size(g, s)
-    count = g.count_in(s.member)
-    base = _table_base(g)
+    graph, count, key = s._count
+    if graph is not g:
+        # the state holds the graph, so a freed graph's id cannot match
+        count = g.count_in(member)
+        base = g._table_base
+        if base is None:
+            base = _table_base(g)
+        if base is False:
+            key = None
+        else:
+            # a vertex holding opinion 1 reads the second half
+            key = count + base
+            np.add(key, _HALF, out=key, where=member)
+        object.__setattr__(s, "_count", (g, count, key))
+    if key is not None:
+        return rule._table.take(key)
+    deg = g.degrees
     isolated = g.isolated
-    if base is not False:
-        key = count + base
-        prob = rule._tables[0].take(key)
-        if len(rule._tables) == 2:
-            np.copyto(prob, rule._tables[1].take(key), where=~s.member)
-    else:
-        deg = g.degrees
-        x = count / (np.maximum(deg, 1) if isolated.size else deg)
-        prob = _horner(rule._horner[0], x)
-        if len(rule._horner) == 2:
-            np.copyto(prob, _horner(rule._horner[1], x), where=~s.member)
-        prob.clip(0.0, 1.0, out=prob)
+    x = count / (np.maximum(deg, 1) if isolated.size else deg)
+    prob = _horner(rule._horner[0], x)
+    if len(rule._horner) == 2:
+        np.copyto(prob, _horner(rule._horner[1], x), where=~member)
+    prob.clip(0.0, 1.0, out=prob)
     if isolated.size:
-        prob[isolated] = s.member[isolated]
+        prob[isolated] = member[isolated]
     return prob
 
 
@@ -323,7 +364,8 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     nv = g.num_vertices
     raw = rng.bit_generator.random_raw(nv * m // 2)
     if g.neighbors.size == 0:
-        return state_from_member(s.member.copy())
+        # every vertex is isolated and keeps its opinion: the state itself
+        return s
     words = raw.astype("<u8", copy=False).view("<u4").reshape(m, nv)
     # w < 2^32 and deg < 2n <= 2^25 (sbm_graph.MAX_N caps n), so the int64
     # product w * deg stays below 2^63
@@ -347,7 +389,7 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     new = ones > threshold
     if isolated.size:
         new[isolated] = s.member[isolated]
-    return state_from_member(new)
+    return _own_state(new)
 
 
 @dataclass
@@ -483,7 +525,7 @@ def make_initial(g: Graph, family: InitFamily, rng: np.random.Generator) -> Opin
         rho = family.params[0]
         if not 0.0 <= rho <= 1.0:
             raise ValueError("density must lie in [0,1]")
-        return state_from_member(rng.random(2 * n) < rho)
+        return _own_state(rng.random(2 * n) < rho)
 
     if family.kind == "exact_counts":
         c1, c2 = family.params
@@ -504,7 +546,7 @@ def make_initial(g: Graph, family: InitFamily, rng: np.random.Generator) -> Opin
     member = np.zeros(2 * n, dtype=bool)
     _pick(rng, n, int(c1), 0, member)
     _pick(rng, n, int(c2), n, member)
-    return state_from_member(member)
+    return _own_state(member)
 
 
 def write_trajectory_csv(

@@ -22,7 +22,6 @@ from votedyn import (
     w_stat,
 )
 from votedyn.concentration_probe import p2_scan, p3_scan, variance_profile, w_concentration_scan, w_hat
-from votedyn.sbm_graph import Graph
 
 from . import oracles
 
@@ -181,19 +180,6 @@ def test_goodness_report_custom_orders():
 
 
 # --- neighbour counts the probes make ---
-
-
-@pytest.fixture
-def count_in_calls(monkeypatch):
-    calls = []
-    original = Graph.count_in
-
-    def counting(self, mask):
-        calls.append(mask)
-        return original(self, mask)
-
-    monkeypatch.setattr(Graph, "count_in", counting)
-    return calls
 
 
 def test_variance_profile_counts_once_per_state(count_in_calls):

@@ -850,6 +850,18 @@ def _without(g: Graph, cut: set[int]) -> Graph:
     return graph_from_edges(g.n, edges[~np.isin(edges, list(cut)).any(axis=1)])
 
 
+def _check_count_in(g: Graph, rng: np.random.Generator) -> None:
+    # Graph.count_in against a per-vertex count of an empty, a full and a
+    # random mask
+    nv = g.num_vertices
+    neighbors = g.neighbors.tolist()
+    for mask in (np.zeros(nv, dtype=bool), np.ones(nv, dtype=bool), rng.random(nv) < 0.3):
+        bits = mask.tolist()
+        expect = [sum(bits[w] for w in neighbors[g.offsets[v] : g.offsets[v + 1]]) for v in range(nv)]
+        count = g.count_in(mask)
+        assert count.dtype == np.int32 and count.tolist() == expect
+
+
 def test_deg_in_set_matches_brute_force(monkeypatch):
     # Graph.count_in against a per-vertex count, with isolated vertices in the
     # middle and at the end, and on a graph with no edges. The two dense
@@ -857,7 +869,10 @@ def test_deg_in_set_matches_brute_force(monkeypatch):
     # 100 or 5 entries every graph with at least that many and 2 per row word
     # does, its rows built and counted in many blocks. The sparse graph of 200
     # vertices gathers, in vertex blocks of about 100 entries, or of one
-    # vertex each when a degree passes 5
+    # vertex each when a degree passes 5. A one-block graph sums by bincount
+    # below BINCOUNT_ENTRIES entries and by reduceat from there on: graphs
+    # just below, at and just above it, isolated vertices first, in the
+    # middle and last, and the edgeless graph, at the default and at 40
     layouts = {
         sbm_graph.BUILD_BLOCK: [False, False, False, True, True, False],
         100: [True, True, False, True, True, False],
@@ -875,13 +890,17 @@ def test_deg_in_set_matches_brute_force(monkeypatch):
         assert {0, 57, 58, 199} <= set(graphs[5].isolated.tolist()) and graphs[5].neighbors.size > 10 * 100
         rng = np.random.default_rng(0)
         for g in graphs:
-            nv = g.num_vertices
-            neighbors = g.neighbors.tolist()
-            for mask in (np.zeros(nv, dtype=bool), np.ones(nv, dtype=bool), rng.random(nv) < 0.3):
-                bits = mask.tolist()
-                expect = [sum(bits[w] for w in neighbors[g.offsets[v] : g.offsets[v + 1]]) for v in range(nv)]
-                count = g.count_in(mask)
-                assert count.dtype == np.int32 and count.tolist() == expect
+            _check_count_in(g, rng)
+    monkeypatch.setattr(sbm_graph, "BUILD_BLOCK", next(iter(layouts)))
+    edges = _edge_array(_without(generate_sbm(30, 0.3, 0.15, seed=2), {0, 29, 59}))
+    for limit in (sbm_graph.BINCOUNT_ENTRIES, 40):
+        monkeypatch.setattr(sbm_graph, "BINCOUNT_ENTRIES", limit)
+        rng = np.random.default_rng(0)
+        for entries in (limit - 2, limit, limit + 2, 0):
+            g = graph_from_edges(30, edges[: entries // 2])
+            assert g.neighbors.size == entries and {0, 29, 59} <= set(g.isolated.tolist())
+            _check_count_in(g, rng)
+            assert (g._ids[1] is not None) == (entries < limit)
 
 
 def test_packed_rows_are_built_by_the_first_count_within_one_block(tmp_path):

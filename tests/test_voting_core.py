@@ -89,6 +89,11 @@ def test_rule_range_validation():
         vd.VotingRule("bo3", [0.0, 2.0], [0.0, 1.0])  # f1(1)=2
     with pytest.raises(ValueError, match="f2 leaves"):
         vd.VotingRule("bo3", [0.0, 1.0], [-0.5, 1.0])  # f2(0)<0
+    # NaN fails every comparison of the range check, and inf - inf is NaN
+    with pytest.raises(ValueError, match="f1 needs finite coefficients"):
+        vd.VotingRule("bo3", [math.nan, 1.0], [0.0, 1.0])
+    with pytest.raises(ValueError, match="f2 needs finite coefficients"):
+        vd.VotingRule("bo3", [0.0, 1.0], [0.0, math.inf, -math.inf])
     ok = vd.VotingRule("bo3", [0.0, 1.0], [0.0, 1.0])
     assert np.array_equal(ok.f1_coeffs, ok.f2_coeffs)
     # every rule samples: a name without a sampling step cannot be built
@@ -105,6 +110,56 @@ def test_state_constructors_count_communities():
     assert (s.count1, s.count2) == (2, 1)
     assert s.n == 3
     assert fractions(s) == (2 / 3, 1 / 3)
+
+
+def test_a_state_owns_a_read_only_copy_of_its_member():
+    # the state used to alias a bool input: filling the caller's array left
+    # a state whose mask held every vertex and whose counts held none
+    g = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    member = np.zeros(6, dtype=bool)
+    s = state_from_member(member)
+    member[:] = True
+    assert not s.member.any() and (s.count1, s.count2) == (0, 0)
+    assert step_probabilities(g, s, make_rule_bo3()).tolist() == [0.0] * 6
+    with pytest.raises(ValueError):
+        s.member[0] = True  # read-only
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.member = member
+    # a mask of odd length or of more than one axis has no two communities
+    for bad in (np.ones(5, dtype=bool), np.ones((2, 3), dtype=bool), True):
+        with pytest.raises(ValueError, match="1-d mask of even length"):
+            state_from_member(bad)
+    # a list is copied in too, and a stepped state is read-only as well
+    s = state_from_member([True, False, True, False, False, False])
+    stepped = step_sampling(g, s, make_rule_bo3(), np.random.default_rng(0))
+    assert not s.member.flags.writeable and not stepped.member.flags.writeable
+
+
+def test_step_probabilities_counts_a_state_once_per_graph(count_in_calls):
+    # one count serves every rule on the graph the state was last counted
+    # on; another graph of the same size, or a return to the first, counts
+    # again. The Horner path (degrees above PROB_TABLE_DEG) shares the count
+    rules = (make_rule_bo3(), make_rule_bo2(), make_rule_best_of(2))
+    member = np.array([True, True, False, False, True, False])
+    ring = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    star = graph_from_edges(3, [(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)])
+    dense = generate_sbm(40, 0.95, 0.9, seed=1)
+    assert dense.degrees.min() > vd.voting_core.PROB_TABLE_DEG
+    s = state_from_member(member)
+    got = {}
+    for g in (ring, star, ring):
+        got[g] = [step_probabilities(g, s, rule) for rule in rules]
+    assert len(count_in_calls) == 3
+    on_dense = state_from_member(np.arange(80) % 3 == 0)
+    got[dense] = [step_probabilities(dense, on_dense, rule) for rule in rules]
+    assert len(count_in_calls) == 4
+    # bit for bit what fresh states give, and each graph's own law
+    for g, probs in got.items():
+        m = on_dense.member if g is dense else member
+        for rule, p in zip(rules, probs):
+            assert p.tobytes() == step_probabilities(g, state_from_member(m), rule).tobytes()
+    assert got[star][0].tolist() == pytest.approx([rules[0].f1(0.4)] + [1.0] * 5)
+    assert all(a.tobytes() != b.tobytes() for a, b in zip(got[ring], got[star]))
 
 
 @given(
@@ -276,7 +331,7 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
         make_rule_best_of(2),
         make_rule_best_of(12),  # the widest rule
     ]
-    tables = [rule._tables for rule in rules]
+    tables = [rule._table for rule in rules]
     rng = np.random.default_rng(8)
     for g in graphs:
         nv = g.num_vertices
@@ -289,14 +344,17 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
                 want = _reference_step_probabilities(g, member, rule)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (rule.name, nv)
-    # one read-only table per distinct polynomial, of a size fixed by the cap
-    # alone, and no graph replaced it
-    for rule, before in zip(rules, tables):
-        assert rule._tables is before
-        assert len(before) == (1 if rule.name != "bo2" else 2)
-        for table in before:
-            assert not table.flags.writeable
-            assert table.shape == ((cap + 1) * (cap + 2) // 2,)
+    # one read-only table per rule, f2's half and then f1's, each of a size
+    # fixed by the cap alone and ending in an isolated vertex's opinion,
+    # and no graph replaced it
+    half = (cap + 1) * (cap + 2) // 2 + 1
+    for rule, table in zip(rules, tables):
+        assert rule._table is table
+        assert not table.flags.writeable
+        assert table.shape == (2 * half,)
+        assert (table[half - 1], table[-1]) == (0.0, 1.0)
+        same = table[: half - 1].tobytes() == table[half:-1].tobytes()
+        assert same == (rule.name != "bo2")
 
 
 def _reference_step_sampling(g, member, rule, bitgen):
@@ -485,7 +543,7 @@ def test_rule_fields_cannot_be_reassigned():
     # what step_probabilities reads is derived at construction, so a new
     # polynomial assigned later would leave the rule on its old law
     rule = make_rule_bo3()
-    for name in ("name", "f1_coeffs", "f2_coeffs", "draws", "_horner", "_tables"):
+    for name in ("name", "f1_coeffs", "f2_coeffs", "draws", "_horner", "_table"):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(rule, name, np.array([0.0, 1.0]))
     g = graph_from_edges(2, [(0, 1), (1, 2), (2, 3)])
