@@ -120,24 +120,19 @@ class Graph:
         neighbor of u, and a vertex's count is the population count of its
         row and the packed mask. Any other graph gathers the mask over its
         neighbor array, in vertex blocks of at most BUILD_BLOCK entries once
-        it has more. A graph of fewer than BINCOUNT_ENTRIES entries sums the
-        gathered mask by vertex with bincount instead."""
+        it has more."""
         if self._packed:
             if self._rows is None:
                 object.__setattr__(self, "_rows", _pack_rows(self))
             return _count_rows(self._rows, mask)
         ids, offsets = self.neighbors, self.offsets
         if ids.size <= BUILD_BLOCK:
-            # one block, no walk, and its count arrays kept from the first
-            # count on: the intp ids, then each entry's vertex for bincount
-            # or a writeable copy of the row starts for reduceat
+            # one block, no walk, and the intp ids and a writeable copy of
+            # the row starts kept from the first count on: reduceat copies a
+            # read-only index array on every call
             if self._ids is None:
-                object.__setattr__(self, "_ids", _one_block(self))
-            ids, src, starts = self._ids
-            if src is not None:
-                # a degree-0 vertex has no entry, so it counts 0
-                return np.bincount(src.compress(mask.take(ids)), minlength=self.degrees.size).astype(np.int32)
-            count = _count_ids(mask, ids, starts)
+                object.__setattr__(self, "_ids", (ids.astype(np.intp), offsets[:-1].copy()))
+            count = _count_ids(mask, *self._ids)
         else:
             count = np.empty(self.degrees.size, dtype=np.int32)
             for lo, hi in _row_blocks(offsets, BUILD_BLOCK):
@@ -253,15 +248,6 @@ MAX_ENTRIES = 1 << 31
 # report makes about 50)
 PACKED_FILL = 2
 
-# a one-block graph of fewer than BINCOUNT_ENTRIES directed entries counts
-# by bincount over each entry's vertex, which does no work per vertex but
-# more per entry than reduceat. One count_in, timeit medians on 2 vCPUs,
-# bincount against reduceat: 1.84 against 2.45 us at 10 entries (6
-# vertices), 2.19 against 2.82 at 126 (26), 3.44 against 3.90 at 550 (52),
-# even at 992 (70), 1.14x slower at 1,082 (40) and 1.21x at 2,204 (104); a
-# sparser graph favours bincount further (0.90x at 2,468 entries on 400)
-BINCOUNT_ENTRIES = 512
-
 
 def _row_words(nv: int) -> int:
     return -(-nv // 64)
@@ -313,16 +299,6 @@ def _row_blocks(offsets: np.ndarray, size: int):
         hi = max(int(np.searchsorted(offsets, offsets[lo] + size, side="right")) - 1, lo + 1)
         yield lo, hi
         lo = hi
-
-
-def _one_block(g: Graph) -> tuple:
-    # (intp ids, each entry's vertex, None) below BINCOUNT_ENTRIES entries,
-    # else (intp ids, None, row starts): a writeable intp copy, as reduceat
-    # copies a read-only index array on every call
-    ids = g.neighbors.astype(np.intp)
-    if ids.size < BINCOUNT_ENTRIES:
-        return ids, np.repeat(np.arange(g.degrees.size), g.degrees), None
-    return ids, None, g.offsets[:-1].copy()
 
 
 def _count_ids(mask, ids, starts, out=None) -> np.ndarray:
@@ -395,17 +371,14 @@ def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed:
     # keys are the neighbor array
     keys.sort()
     low = (1 << s) - 1
-    if keys.size <= BUILD_BLOCK:
-        equal = (keys[1:] == keys[:-1]).any()
-    else:
-        blocks = (keys[lo : lo + BUILD_BLOCK + 1] for lo in range(0, keys.size - 1, BUILD_BLOCK))
-        equal = any((b[1:] == b[:-1]).any() for b in blocks)
-    if equal:
-        for a in range(0, keys.size, BUILD_BLOCK):
-            part = keys[a : a + BUILD_BLOCK]
-            if ((part >> s) == (part & low)).any():
-                raise ValueError("self loops are not allowed")
-        raise ValueError("duplicate edges are not allowed")
+    for lo in range(0, keys.size - 1, BUILD_BLOCK):
+        block = keys[lo : lo + BUILD_BLOCK + 1]
+        if (block[1:] == block[:-1]).any():
+            for a in range(0, keys.size, BUILD_BLOCK):
+                part = keys[a : a + BUILD_BLOCK]
+                if ((part >> s) == (part & low)).any():
+                    raise ValueError("self loops are not allowed")
+            raise ValueError("duplicate edges are not allowed")
     offsets = np.searchsorted(keys, np.arange(0, (2 * n + 1) << s, 1 << s, dtype=keys.dtype))
     keys &= low
     return Graph(n=n, offsets=offsets, neighbors=keys, p=float(p), q=float(q), seed=seed)
@@ -519,14 +492,12 @@ def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 
         raise ValueError("edge endpoint out of range")
     s, dtype = _key_layout(nv)
     keys = np.empty(arr.size, dtype=dtype)
-    if len(arr) <= BUILD_BLOCK:
-        # one block: each pair's two keys straight from it, computed at the
-        # key width, where a narrower id type would overflow the shift
-        both = keys.reshape(-1, 2)
-        np.left_shift(arr, s, out=both, dtype=dtype)
-        np.bitwise_or(both, arr[:, ::-1], out=both, dtype=dtype)
-    else:
-        _append_pairs(keys, 0, arr, s)
+    # each pair's two keys straight from it, computed at the key width, where
+    # a narrower id type would overflow the shift; the ufuncs cast the ids in
+    # buffered chunks, so no full-size temporary is made
+    both = keys.reshape(-1, 2)
+    np.left_shift(arr, s, out=both, dtype=dtype)
+    np.bitwise_or(both, arr[:, ::-1], out=both, dtype=dtype)
     return _graph_from_keys(n, keys, s, p, q, seed)
 
 

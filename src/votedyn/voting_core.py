@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 import math
+import weakref
 
 import numpy as np
 
@@ -244,14 +245,31 @@ def rule_from_name(name: str) -> VotingRule:
 class OpinionState:
     """Vertices holding opinion 1 as a read-only boolean mask, with
     per-community counts. A state is frozen and owns its mask, so what is
-    derived from the mask stays true: _count keeps (graph, neighbor count,
-    table keys or None) of the last graph step_probabilities counted the
-    state on."""
+    derived from the mask stays true: _count keeps (a weak reference to the
+    graph, neighbor count, table keys or None) of the last graph
+    step_probabilities counted the state on. The graph is not kept alive by
+    it, but the count and keys, 12 B per vertex, live as long as the state.
+
+    The mask must be a read-only 1-d bool array of even length that owns
+    its data, as state_from_member makes; any other raises ValueError."""
 
     member: np.ndarray
     count1: int
     count2: int
     _count: tuple = field(default=(None, None, None), init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        # a writeable mask, or a view of one, could change under the memo
+        m = self.member
+        if not (
+            isinstance(m, np.ndarray)
+            and m.dtype == np.bool_
+            and m.ndim == 1
+            and m.size % 2 == 0
+            and not m.flags.writeable
+            and m.flags.owndata
+        ):
+            raise ValueError("a state needs a read-only 1-d bool mask of even length that owns its data")
 
     @property
     def n(self) -> int:
@@ -259,12 +277,12 @@ class OpinionState:
 
 
 def state_from_member(member) -> OpinionState:
-    """The state of a 1-d mask of even length, 2n vertices, copied to a
+    """The state of a 1-d bool mask of even length, 2n vertices, copied to a
     read-only array, so changing the caller's array leaves the state as it
-    was."""
-    member = np.array(member, dtype=bool)
-    if member.ndim != 1 or member.size % 2:
-        raise ValueError(f"a state needs a 1-d mask of even length, got shape {member.shape}")
+    was. A mask of any other type or shape raises ValueError."""
+    member = np.array(member)
+    if member.dtype != np.bool_ or member.ndim != 1 or member.size % 2:
+        raise ValueError(f"a state needs a 1-d bool mask of even length, got {member.dtype} of shape {member.shape}")
     return _own_state(member)
 
 
@@ -322,8 +340,8 @@ def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarra
     member = s.member
     _check_size(g, s)
     graph, count, key = s._count
-    if graph is not g:
-        # the state holds the graph, so a freed graph's id cannot match
+    if graph is None or graph() is not g:
+        # a weak reference: a freed graph reads None, so its id cannot match
         count = g.count_in(member)
         base = g._table_base
         if base is None:
@@ -334,7 +352,7 @@ def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarra
             # a vertex holding opinion 1 reads the second half
             key = count + base
             np.add(key, _HALF, out=key, where=member)
-        object.__setattr__(s, "_count", (g, count, key))
+        object.__setattr__(s, "_count", (weakref.ref(g), count, key))
     if key is not None:
         return rule._table.take(key)
     deg = g.degrees

@@ -869,10 +869,9 @@ def test_deg_in_set_matches_brute_force(monkeypatch):
     # 100 or 5 entries every graph with at least that many and 2 per row word
     # does, its rows built and counted in many blocks. The sparse graph of 200
     # vertices gathers, in vertex blocks of about 100 entries, or of one
-    # vertex each when a degree passes 5. A one-block graph sums by bincount
-    # below BINCOUNT_ENTRIES entries and by reduceat from there on: graphs
-    # just below, at and just above it, isolated vertices first, in the
-    # middle and last, and the edgeless graph, at the default and at 40
+    # vertex each when a degree passes 5. A one-block graph counts on its
+    # cached ids and row starts, here also with isolated vertices first, in
+    # the middle and last
     layouts = {
         sbm_graph.BUILD_BLOCK: [False, False, False, True, True, False],
         100: [True, True, False, True, True, False],
@@ -892,15 +891,9 @@ def test_deg_in_set_matches_brute_force(monkeypatch):
         for g in graphs:
             _check_count_in(g, rng)
     monkeypatch.setattr(sbm_graph, "BUILD_BLOCK", next(iter(layouts)))
-    edges = _edge_array(_without(generate_sbm(30, 0.3, 0.15, seed=2), {0, 29, 59}))
-    for limit in (sbm_graph.BINCOUNT_ENTRIES, 40):
-        monkeypatch.setattr(sbm_graph, "BINCOUNT_ENTRIES", limit)
-        rng = np.random.default_rng(0)
-        for entries in (limit - 2, limit, limit + 2, 0):
-            g = graph_from_edges(30, edges[: entries // 2])
-            assert g.neighbors.size == entries and {0, 29, 59} <= set(g.isolated.tolist())
-            _check_count_in(g, rng)
-            assert (g._ids[1] is not None) == (entries < limit)
+    g = _without(generate_sbm(30, 0.3, 0.15, seed=2), {0, 29, 59})
+    assert not g._packed and {0, 29, 59} <= set(g.isolated.tolist())
+    _check_count_in(g, np.random.default_rng(0))
 
 
 def test_packed_rows_are_built_by_the_first_count_within_one_block(tmp_path):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import gc
 import io
 import math
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -125,14 +127,26 @@ def test_a_state_owns_a_read_only_copy_of_its_member():
         s.member[0] = True  # read-only
     with pytest.raises(dataclasses.FrozenInstanceError):
         s.member = member
-    # a mask of odd length or of more than one axis has no two communities
-    for bad in (np.ones(5, dtype=bool), np.ones((2, 3), dtype=bool), True):
-        with pytest.raises(ValueError, match="1-d mask of even length"):
+    # a mask of odd length or of more than one axis has no two communities,
+    # and a mask of numbers is not read as one of bools
+    bad_masks = (np.ones(5, dtype=bool), np.ones((2, 3), dtype=bool), True, np.array([0.2, 0, 0, 0]), [1, 0, 0, 0])
+    for bad in bad_masks:
+        with pytest.raises(ValueError, match="1-d bool mask of even length"):
             state_from_member(bad)
     # a list is copied in too, and a stepped state is read-only as well
     s = state_from_member([True, False, True, False, False, False])
     stepped = step_sampling(g, s, make_rule_bo3(), np.random.default_rng(0))
     assert not s.member.flags.writeable and not stepped.member.flags.writeable
+    # built directly, a state takes no mask the caller could still write,
+    # itself or through its base
+    view = member[:]
+    view.setflags(write=False)
+    for bad in (member, view, np.zeros(6, dtype=np.uint8), [False] * 6):
+        with pytest.raises(ValueError, match="read-only 1-d bool mask"):
+            vd.OpinionState(bad, 0, 0)
+    owned = np.zeros(6, dtype=bool)
+    owned.setflags(write=False)
+    assert vd.OpinionState(owned, 0, 0).member is owned
 
 
 def test_step_probabilities_counts_a_state_once_per_graph(count_in_calls):
@@ -160,6 +174,17 @@ def test_step_probabilities_counts_a_state_once_per_graph(count_in_calls):
             assert p.tobytes() == step_probabilities(g, state_from_member(m), rule).tobytes()
     assert got[star][0].tolist() == pytest.approx([rules[0].f1(0.4)] + [1.0] * 5)
     assert all(a.tobytes() != b.tobytes() for a, b in zip(got[ring], got[star]))
+    # the state does not keep the graph it was counted on alive, and a new
+    # graph, even at the freed one's address, counts again
+    ring_law = got.pop(ring)[0]
+    ref = weakref.ref(ring)
+    del ring
+    gc.collect()
+    assert ref() is None
+    counted = len(count_in_calls)
+    ring = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    assert step_probabilities(ring, s, rules[0]).tobytes() == ring_law.tobytes()
+    assert len(count_in_calls) == counted + 1
 
 
 @given(
