@@ -47,8 +47,6 @@ from .induced_dynamics import (
     induced_map,
     u_of_r,
     r_of_u,
-    eval_T_bo3,
-    eval_T_bo2,
     iterate,
 )
 from .fixed_point_analysis import (

@@ -8,8 +8,8 @@ the expected dynamics is
 
 where r = q/p. The analysis coordinates are (d1, d2) = (a1 - a2, a1 + a2 - 1)
 with u = (1 - r)/(1 + r); the conjugated map T has cubic closed forms for the
-bo3 and bo2 rules. eval_T_generic always goes through the alpha-space route so
-the closed forms stay an independent cross-check.
+bo3 and bo2 rules. eval_T_generic always goes through the alpha-space route;
+the tests' stdlib oracles hold the closed forms that cross-check it.
 
 The triangle S = {d1, d2 >= 0, d1 + d2 <= 1} is forward-invariant for both
 built-in rules.
@@ -29,8 +29,6 @@ __all__ = [
     "u_of_r",
     "r_of_u",
     "eval_H",
-    "eval_T_bo3",
-    "eval_T_bo2",
     "eval_T_generic",
     "iterate",
 ]
@@ -81,30 +79,6 @@ def eval_H(m: InducedMap, a):
     if h1.ndim == 0:
         return float(h1), float(h2)
     return h1, h2
-
-
-def eval_T_bo3(u: float, d):
-    """Closed-form delta-space step for the bo3 rule."""
-    d1 = np.asarray(d[0], dtype=np.float64)
-    d2 = np.asarray(d[1], dtype=np.float64)
-    ud1 = u * d1
-    t1 = (ud1 / 2.0) * (3.0 - ud1 * ud1 - 3.0 * d2 * d2)
-    t2 = (d2 / 2.0) * (3.0 - 3.0 * ud1 * ud1 - d2 * d2)
-    if t1.ndim == 0:
-        return float(t1), float(t2)
-    return t1, t2
-
-
-def eval_T_bo2(u: float, d):
-    """Closed-form delta-space step for the bo2 rule; equals eval_T_bo3 at u=1."""
-    d1 = np.asarray(d[0], dtype=np.float64)
-    d2 = np.asarray(d[1], dtype=np.float64)
-    ud1 = u * d1
-    t1 = (d1 / 2.0) * ((2.0 * u + 1.0) - ud1 * ud1 - (2.0 * u + 1.0) * d2 * d2)
-    t2 = (d2 / 2.0) * (3.0 - u * (2.0 + u) * d1 * d1 - d2 * d2)
-    if t1.ndim == 0:
-        return float(t1), float(t2)
-    return t1, t2
 
 
 def eval_T_generic(m: InducedMap, d):

@@ -83,13 +83,13 @@ class Graph:
     isolated: np.ndarray = field(init=False, repr=False)
     # whether count_in uses packed rows, set at construction, then the rows
     # or a one-block graph's count arrays, made by its first count_in, and
-    # the probability-table keys of voting_core.step_probabilities, made by
-    # its first call; class defaults rather than fields, so constructing a
+    # the probability-table key ids of voting_core.step_probabilities, made
+    # by its first call; class defaults rather than fields, so constructing a
     # graph sets none of them
     _packed = False
     _rows = None
     _ids = None
-    _table_base = None
+    _key_ids = None
 
     def __post_init__(self):
         offsets, neighbors = self.offsets, self.neighbors
@@ -305,9 +305,9 @@ def _count_ids(mask, ids, starts, out=None) -> np.ndarray:
     # each vertex's int32 count of the intp ids inside the mask, vertex i
     # owning ids[starts[i]:starts[i+1]]; the trailing zero gives a degree-0
     # last vertex a start, and the votes and their int32 cast take 5 B per id
-    votes = np.zeros(ids.size + 1, dtype=bool)
+    votes = np.zeros(ids.size + 1, dtype=np.uint8)
     votes[:-1] = mask[ids]
-    return np.add.reduceat(votes.view(np.uint8), starts, dtype=np.int32, out=out)
+    return np.add.reduceat(votes, starts, dtype=np.int32, out=out)
 
 
 def _write_keys(keys: np.ndarray, lo: int, u: np.ndarray, v: np.ndarray, s: int) -> int:
@@ -580,7 +580,7 @@ def _read_graph(fh) -> Graph:
     _check_sbm_params(n, p, q)
     nv = 2 * n
     s, dtype = _key_layout(nv)
-    keys = np.empty(0, dtype=dtype)
+    keys = np.empty(_entry_bound(fh, nv), dtype=dtype)
     end = 0
     tail = []  # the pieces of a line that no block has ended yet
     while chunk := fh.read(READ_BLOCK):
@@ -594,6 +594,24 @@ def _read_graph(fh) -> Graph:
     end = _append_pairs(keys, end, _parse_lines(b"".join(tail) + b"\n", nv), s)
     keys.resize(end, refcheck=False)
     return _graph_from_keys(n, keys, s, p, q, seed)
+
+
+def _entry_bound(fh, nv: int) -> int:
+    # the directed entries the rest of a seekable source can hold, two per
+    # line and per vertex pair, its lines counted by a first pass over its
+    # line feeds (one more for a last line without one); 0 for any other
+    # source. The neighbor array is then allocated once: grown by realloc
+    # after a larger array was freed, which raises glibc's mmap threshold,
+    # it comes from the heap, where each move past a block's temporaries
+    # keeps its old pages, so the peak would depend on heap placement
+    if not fh.seekable():
+        return 0
+    start = fh.tell()
+    lines = 1
+    while chunk := fh.read(READ_BLOCK):
+        lines += chunk.count("\n")
+    fh.seek(start)
+    return 2 * min(lines, nv * (nv - 1) // 2, MAX_ENTRIES // 2)
 
 
 def _parse_lines(data: bytes, nv: int) -> np.ndarray:

@@ -13,10 +13,10 @@ ceil(2^32/deg) of the 2^32 words, a relative deviation from 1/deg below
 deg/2^32 (1.2e-7 at degree 500).
 
 The exact step law is read from each rule's fixed probability table on a
-graph whose largest degree is at most PROB_TABLE_DEG: x only takes the values
-k/d there, and the table holds the clipped law at each of them for either
-opinion, computed as the Horner path computes it, so both paths give the
-same bits.
+graph of one count block whose largest degree is at most PROB_TABLE_DEG: x
+only takes the values k/d there, and the table holds the clipped law at each
+of them for either opinion, computed as the Horner path computes it, so both
+paths give the same bits.
 
 Isolated vertices keep their opinion forever; they still consume their random
 words so the stream layout of a step never depends on the state.
@@ -33,6 +33,7 @@ import weakref
 
 import numpy as np
 
+from . import sbm_graph
 from .sbm_graph import Graph
 
 __all__ = [
@@ -65,28 +66,29 @@ RANGE_GRID = 1000  # rule range check resolution at construction
 STATUS_CONSENSUS = "consensus"
 STATUS_TIMEOUT = "timeout"
 STATUS_STOPPED = "stopped"
-# largest degree read from a rule's probability table: entry d(d+1)/2 + k
-# of each half holds the clipped law at x = k/d, 2 x 2081 float64 entries
-# (32.5 KiB) per rule. Criterion 7's graphs (degree <= 5) sit below the cap
-# and the concentration probes' dense graphs far above it, where a table
-# grown to the largest degree costs more memory and time than Horner
+# largest degree read from a rule's probability table. Degree d owns the
+# 2(d+1) entries from d(d+1) on: the clipped law at x = k/d, k = 0..d, of a
+# vertex holding opinion 2 (f2) and then of one holding opinion 1 (f1), so a
+# vertex's key is d(d+1) + k + (d+1)*own; 4,160 float64 entries (32.5 KiB)
+# per rule. Criterion 7's graphs (degree <= 5) sit below the cap and the
+# concentration probes' dense graphs far above it, where a table grown to
+# the largest degree costs more memory and time than Horner
 PROB_TABLE_DEG = 63
 
 
-def _table_x() -> np.ndarray:
-    # x = k / max(d, 1) at entry d(d+1)/2 + k, for 0 <= k <= d <= PROB_TABLE_DEG,
-    # the float64 division of the step_probabilities fallback
-    d = np.repeat(np.arange(PROB_TABLE_DEG + 1), np.arange(1, PROB_TABLE_DEG + 2))
-    k = np.arange(d.size) - d * (d + 1) // 2
-    x = k / np.maximum(d, 1)
+def _table_layout() -> tuple[np.ndarray, np.ndarray]:
+    # x = k / max(d, 1), the float64 division of the step_probabilities
+    # fallback, and the own opinion at every entry of a table
+    d = np.repeat(np.arange(PROB_TABLE_DEG + 1), 2 * np.arange(1, PROB_TABLE_DEG + 2))
+    j = np.arange(d.size) - d * (d + 1)
+    own = j > d
+    x = (j - (d + 1) * own) / np.maximum(d, 1)
     x.setflags(write=False)
-    return x
+    own.setflags(write=False)
+    return x, own
 
 
-_TABLE_X = _table_x()
-# entries per half of a rule's table: the law at every x of _TABLE_X, then
-# the value of an isolated vertex, which keeps its opinion
-_HALF = _TABLE_X.size + 1
+_TABLE_X, _TABLE_OWN = _table_layout()
 
 
 @dataclass(eq=False, frozen=True)
@@ -100,7 +102,7 @@ class VotingRule:
     what is derived from them (draws, the Horner coefficients and the
     probability table) is set once at construction. The read-only table
     holds the law clipped to [0,1] at x = k/d for every degree d <=
-    PROB_TABLE_DEG, f2 in its first half and f1 in its second, of the same
+    PROB_TABLE_DEG and either own opinion, laid out by degree, of the same
     size whatever the graph. Two rules compare equal only when they are the
     same object.
     """
@@ -158,15 +160,12 @@ def _horner_coeffs(coeffs: np.ndarray) -> tuple:
 
 
 def _law_table(horner: tuple) -> np.ndarray:
-    # the read-only clipped law of a vertex holding opinion 2 (f2), then of
-    # one holding opinion 1 (f1), at every x of _TABLE_X, by the Horner chain
-    # of the step_probabilities fallback, so every entry has its bits; each
-    # half ends in its isolated vertex's opinion, 0.0 and then 1.0
-    table = np.empty(2 * _HALF)
-    table[: _HALF - 1] = _horner(horner[-1], _TABLE_X)
-    table[_HALF - 1] = 0.0
-    table[_HALF:-1] = _horner(horner[0], _TABLE_X)
-    table[-1] = 1.0
+    # the read-only clipped law at every entry of _TABLE_X, f1 for a vertex
+    # holding opinion 1 and f2 for one holding opinion 2, by the Horner chain
+    # of the step_probabilities fallback, so every entry has its bits; degree
+    # 0 holds what an isolated vertex keeps, 0.0 and then 1.0
+    table = np.where(_TABLE_OWN, _horner(horner[0], _TABLE_X), _horner(horner[-1], _TABLE_X))
+    table[:2] = 0.0, 1.0
     table.clip(0.0, 1.0, out=table)
     table.setflags(write=False)
     return table
@@ -241,22 +240,21 @@ def rule_from_name(name: str) -> VotingRule:
     return make_rule_best_of((m - 1) // 2)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OpinionState:
-    """Vertices holding opinion 1 as a read-only boolean mask, with
-    per-community counts. A state is frozen and owns its mask, so what is
-    derived from the mask stays true: _count keeps (a weak reference to the
-    graph, neighbor count, table keys or None) of the last graph
+    """Vertices holding opinion 1 as a read-only boolean mask. A state is
+    frozen and owns its mask, so what is derived from it stays true: the
+    per-community counts are read from the mask, and _count keeps (a weak
+    reference to the graph, table keys or neighbor count) of the last graph
     step_probabilities counted the state on. The graph is not kept alive by
-    it, but the count and keys, 12 B per vertex, live as long as the state.
+    it, but the keys or count, at most 8 B per vertex, live as long as the
+    state. Two states compare equal only when they are the same object.
 
     The mask must be a read-only 1-d bool array of even length that owns
     its data, as state_from_member makes; any other raises ValueError."""
 
     member: np.ndarray
-    count1: int
-    count2: int
-    _count: tuple = field(default=(None, None, None), init=False, compare=False, repr=False)
+    _count: tuple = field(default=(None, None), init=False, repr=False)
 
     def __post_init__(self):
         # a writeable mask, or a view of one, could change under the memo
@@ -275,6 +273,14 @@ class OpinionState:
     def n(self) -> int:
         return self.member.size // 2
 
+    @property
+    def count1(self) -> int:
+        return int(np.count_nonzero(self.member[: self.n]))
+
+    @property
+    def count2(self) -> int:
+        return int(np.count_nonzero(self.member[self.n :]))
+
 
 def state_from_member(member) -> OpinionState:
     """The state of a 1-d bool mask of even length, 2n vertices, copied to a
@@ -290,8 +296,7 @@ def _own_state(member: np.ndarray) -> OpinionState:
     # the state of a fresh 1-d bool mask of even length that nothing else
     # holds, made read-only in place without a copy
     member.setflags(write=False)
-    n = member.size // 2
-    return OpinionState(member, int(np.count_nonzero(member[:n])), int(np.count_nonzero(member[n:])))
+    return OpinionState(member)
 
 
 def fractions(s: OpinionState) -> tuple[float, float]:
@@ -312,52 +317,61 @@ def _check_size(g: Graph, s: OpinionState) -> None:
         raise ValueError(f"the state has {s.member.size} vertices, the graph {g.num_vertices}")
 
 
-def _table_base(g: Graph):
-    # each vertex's first entry d(d+1)/2 in a half of the table, the last
-    # entry for an isolated vertex, whose count is 0, or False on a graph
-    # with a degree above PROB_TABLE_DEG; made by the graph's first call
-    # and kept
-    deg = g.degrees
-    if deg.max(initial=0) > PROB_TABLE_DEG:
-        base = False
+def _key_ids(g: Graph):
+    # on a graph of at most BUILD_BLOCK neighbor entries and degrees at most
+    # PROB_TABLE_DEG, the intp ids of each vertex's neighbors and then d+1
+    # copies of its own, a writeable copy of their segment starts
+    # 2*offsets[v] + v (reduceat copies a read-only index array on every
+    # call) and the bases d(d+1): a segment's votes plus its base are the
+    # vertex's table key. False on any other graph. Made by the graph's first
+    # call and kept, at most 16 B per entry and 24 B per vertex
+    ids, offsets, deg = g.neighbors, g.offsets[:-1], g.degrees
+    # count_nonzero rather than max, a reduction that costs 1 us on 6 vertices
+    if ids.size > sbm_graph.BUILD_BLOCK or np.count_nonzero(deg > PROB_TABLE_DEG):
+        keys = False
     else:
-        base = deg * (deg + 1) // 2
-        base[g.isolated] = _HALF - 1
-        base.setflags(write=False)
-    object.__setattr__(g, "_table_base", base)
-    return base
+        v = np.arange(deg.size)
+        lo = offsets + v
+        d1 = deg + 1
+        key_ids = v.repeat(deg + d1)
+        # neighbor entry j of vertex v goes to lo[v] + j - offsets[v]
+        at = lo.repeat(deg)
+        at += np.arange(ids.size)
+        key_ids.put(at, ids)
+        keys = (key_ids, lo + offsets, deg * d1)
+    object.__setattr__(g, "_key_ids", keys)
+    return keys
 
 
 def step_probabilities(g: Graph, s: OpinionState, rule: VotingRule) -> np.ndarray:
     """Exact per-vertex probability of holding opinion 1 after one step.
 
-    The neighbor count of s on g, and its table keys, are made once and
-    kept with s, so further calls on the same graph, under any rule, reuse
-    them. A graph whose degrees are at most PROB_TABLE_DEG gathers the law
-    from the rule's table by those keys, which hold each vertex's degree,
-    count and own opinion; a graph with a larger degree evaluates it by
-    Horner's rule. Both give the same bits."""
-    member = s.member
-    _check_size(g, s)
-    graph, count, key = s._count
+    A graph of at most BUILD_BLOCK neighbor entries whose degrees are at
+    most PROB_TABLE_DEG gathers the law from the rule's table by each
+    vertex's key d(d+1) + count + (d+1)*own, one reduceat of the state's
+    mask over the graph's key ids; any other graph evaluates it by Horner's
+    rule at count/degree. Both give the same bits. The keys, or the count,
+    of s on g are made once and kept with s, so further calls on the same
+    graph, under any rule, reuse them without checking the state again."""
+    graph, known = s._count
     if graph is None or graph() is not g:
         # a weak reference: a freed graph reads None, so its id cannot match
-        count = g.count_in(member)
-        base = g._table_base
-        if base is None:
-            base = _table_base(g)
-        if base is False:
-            key = None
+        _check_size(g, s)
+        keys = g._key_ids
+        if keys is None:
+            keys = _key_ids(g)
+        if keys is False:
+            known = g.count_in(s.member)
         else:
-            # a vertex holding opinion 1 reads the second half
-            key = count + base
-            np.add(key, _HALF, out=key, where=member)
-        object.__setattr__(s, "_count", (weakref.ref(g), count, key))
-    if key is not None:
-        return rule._table.take(key)
+            # intp keys: take converts int32 ones on every call
+            known = keys[2] + sbm_graph._count_ids(s.member, keys[0], keys[1])
+        object.__setattr__(s, "_count", (weakref.ref(g), known))
+    if g._key_ids is not False:
+        return rule._table.take(known)
+    member = s.member
     deg = g.degrees
     isolated = g.isolated
-    x = count / (np.maximum(deg, 1) if isolated.size else deg)
+    x = known / (np.maximum(deg, 1) if isolated.size else deg)
     prob = _horner(rule._horner[0], x)
     if len(rule._horner) == 2:
         np.copyto(prob, _horner(rule._horner[1], x), where=~member)
@@ -440,13 +454,14 @@ def run_until_consensus(
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     _check_size(g, s0)
-    nv = g.num_vertices
+    n, nv = g.n, g.num_vertices
     s = s0
     t = 0
     while True:
-        total = s.count1 + s.count2
-        if observe is not None and observe(t, *fractions(s)):
+        c1, c2 = s.count1, s.count2
+        if observe is not None and observe(t, c1 / n, c2 / n):
             return Trajectory(STATUS_STOPPED, None, None, t)
+        total = c1 + c2
         if total == 0 or total == nv:
             opinion = 1 if total == nv else 2
             return Trajectory(STATUS_CONSENSUS, opinion, t, t)

@@ -4,18 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from votedyn.sbm_graph import Graph
+from votedyn import sbm_graph
 
 
 @pytest.fixture
-def count_in_calls(monkeypatch):
-    # every Graph.count_in call's mask, in call order
+def count_calls(monkeypatch):
+    # every call of the one neighbour-count kernel, sbm_graph._count_ids, by
+    # its mask, in call order: one per Graph.count_in on a graph of one
+    # block, and one per table-key count of step_probabilities
     calls = []
-    original = Graph.count_in
+    original = sbm_graph._count_ids
 
-    def counting(self, mask):
+    def counting(mask, *args, **kwargs):
         calls.append(mask)
-        return original(self, mask)
+        return original(mask, *args, **kwargs)
 
-    monkeypatch.setattr(Graph, "count_in", counting)
+    monkeypatch.setattr(sbm_graph, "_count_ids", counting)
     return calls

@@ -19,6 +19,8 @@ __all__ = [
     "best_of_coeffs",
     "h_map",
     "t_via_h",
+    "eval_T_bo3",
+    "eval_T_bo2",
     "delta_to_alpha",
     "alpha_to_delta",
     "fixed_points_bo3_exact",
@@ -92,6 +94,26 @@ def t_via_h(f1, f2, u, d1, d2):
     a1, a2 = delta_to_alpha(d1, d2)
     h1, h2 = h_map(f1, f2, r, a1, a2)
     return alpha_to_delta(h1, h2)
+
+
+# closed-form delta-space steps, u = (1-r)/(1+r), on floats; t_via_h and the
+# package's induced map reach the same values through H
+
+def eval_T_bo3(u, d):
+    d1, d2 = d
+    ud1 = u * d1
+    t1 = (ud1 / 2.0) * (3.0 - ud1 * ud1 - 3.0 * d2 * d2)
+    t2 = (d2 / 2.0) * (3.0 - 3.0 * ud1 * ud1 - d2 * d2)
+    return t1, t2
+
+
+def eval_T_bo2(u, d):
+    """Equals eval_T_bo3 at u = 1."""
+    d1, d2 = d
+    ud1 = u * d1
+    t1 = (d1 / 2.0) * ((2.0 * u + 1.0) - ud1 * ud1 - (2.0 * u + 1.0) * d2 * d2)
+    t2 = (d2 / 2.0) * (3.0 - u * (2.0 + u) * d1 * d1 - d2 * d2)
+    return t1, t2
 
 
 # fixed points: solved from scratch (see derivation in the ledger)

@@ -22,8 +22,6 @@ from votedyn import (
     ExperimentConfig,
     competitive_checks,
     eigen_table,
-    eval_T_bo2,
-    eval_T_bo3,
     fixed_point_locations,
     generate_sbm,
     goodness_report,
@@ -126,7 +124,7 @@ def test_criterion_2_table_reproduction():
 def test_criterion_3_fixed_point_jacobian_consistency():
     t0 = time.perf_counter()
     worst_residual = 0.0
-    for model, t_map in (("bo3", eval_T_bo3), ("bo2", eval_T_bo2)):
+    for model, t_map in (("bo3", oracles.eval_T_bo3), ("bo2", oracles.eval_T_bo2)):
         for u in np.arange(0.01, 1.0, 0.01):
             for loc in fixed_point_locations(model, float(u)).values():
                 image = t_map(float(u), loc)

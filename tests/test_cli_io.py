@@ -64,8 +64,8 @@ def test_top_level_exports_are_pinned():
         "InitFamily", "Matrix2", "OpinionState", "STATUS_CONSENSUS", "STATUS_STOPPED",
         "STATUS_TIMEOUT", "ThresholdResult", "Trajectory", "TrialRecord", "VotingRule",
         "analyze", "biased_global", "clustered", "competitive_checks", "degree_stats",
-        "derive_seed", "eigen_table", "escape_time", "eval_T_bo2", "eval_T_bo3",
-        "exact_counts", "fixed_point_locations", "fractions", "generate_sbm",
+        "derive_seed", "eigen_table", "escape_time", "exact_counts",
+        "fixed_point_locations", "fractions", "generate_sbm",
         "goodness_report", "graph_from_edges", "half_half", "induced_map", "iterate",
         "jacobian_analytic", "load_graph", "make_initial", "make_rule_best_of",
         "make_rule_bo2", "make_rule_bo3", "parse_init_family", "phase_sweep", "r_of_u",

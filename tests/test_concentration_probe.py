@@ -182,34 +182,34 @@ def test_goodness_report_custom_orders():
 # --- neighbour counts the probes make ---
 
 
-def test_variance_profile_counts_once_per_state(count_in_calls):
+def test_variance_profile_counts_once_per_state(count_calls):
     g = generate_sbm(40, 0.4, 0.1, seed=3)
     rng = np.random.default_rng(0)
     states = [state_from_member(rng.random(80) < 0.5) for _ in range(3)]
     variance_profile(g, make_rule_bo3(), states)
-    assert len(count_in_calls) == 3
+    assert len(count_calls) == 3
 
 
-def test_w_stat_counts_a_repeated_set_once(count_in_calls):
+def test_w_stat_counts_a_repeated_set_once(count_calls):
     g = generate_sbm(40, 0.4, 0.1, seed=3)
     m = np.random.default_rng(1).random(80) < 0.5
     got = w_stat(g, m, [m, m, m])
-    assert len(count_in_calls) == 1
+    assert len(count_calls) == 1
     deg = g.count_in(m).astype(np.int64)
     assert got == float((deg**3)[m].sum())
     # equal masks that are distinct objects are each counted
-    count_in_calls.clear()
+    count_calls.clear()
     assert w_stat(g, m, [m, m.copy()]) == float((deg**2)[m].sum())
-    assert len(count_in_calls) == 2
+    assert len(count_calls) == 2
 
 
-def test_goodness_report_count_budget(count_in_calls):
+def test_goodness_report_count_budget(count_calls):
     # p2 and p3: one count per sample; variance: one per state (20); the W
     # scans at l = 1, 2, 3: at most l per sample, one for each of the two
     # structured samples
     g = generate_sbm(60, 0.3, 0.09, seed=5)
     goodness_report(g, make_rule_bo3(), samples=5, rng=np.random.default_rng(9))
-    assert len(count_in_calls) <= 5 + 5 + 20 + (5 + 8 + 11)
+    assert len(count_calls) <= 5 + 5 + 20 + (5 + 8 + 11)
 
 
 @pytest.mark.parametrize(
@@ -229,7 +229,7 @@ def test_goodness_report_count_budget(count_in_calls):
         ((3, 5e-324, 0.0), {"w_orders": (1,)}, "sqrt\\(n/p\\) = inf is not a positive finite"),
     ],
 )
-def test_goodness_report_rejects_before_drawing(count_in_calls, graph, kwargs, match):
+def test_goodness_report_rejects_before_drawing(count_calls, graph, kwargs, match):
     g = generate_sbm(*graph, seed=1)
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
@@ -241,7 +241,7 @@ def test_goodness_report_rejects_before_drawing(count_in_calls, graph, kwargs, m
     with pytest.raises(ValueError, match=match):
         goodness_report(g, make_rule_bo3(), rng=rng, **kwargs)
     assert rng.bit_generator.state == before
-    assert count_in_calls == []
+    assert count_calls == []
 
 
 _HALF = state_from_member(np.arange(6) < 3)
@@ -257,11 +257,11 @@ _HALF = state_from_member(np.arange(6) < 3)
         (5e-324, lambda g, rng: variance_profile(g, make_rule_bo3(), [_HALF]), "sqrt\\(n/p\\)"),
     ],
 )
-def test_each_scan_checks_its_normaliser_before_drawing(count_in_calls, p, probe, match):
+def test_each_scan_checks_its_normaliser_before_drawing(count_calls, p, probe, match):
     g = generate_sbm(3, p, 0.0, seed=1)
     rng = np.random.default_rng(4)
     before = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"{match}.* is not a positive finite number"):
         probe(g, rng)
     assert rng.bit_generator.state == before
-    assert count_in_calls == []
+    assert count_calls == []

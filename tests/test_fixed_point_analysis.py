@@ -20,8 +20,6 @@ from votedyn import (
     analyze,
     competitive_checks,
     eigen_table,
-    eval_T_bo2,
-    eval_T_bo3,
     fixed_point_locations,
     induced_map,
     jacobian_analytic,
@@ -79,7 +77,7 @@ def test_frozen_locations_u08():
 
 
 def test_residuals_on_u_grid():
-    for model, t_map in (("bo3", eval_T_bo3), ("bo2", eval_T_bo2)):
+    for model, t_map in (("bo3", oracles.eval_T_bo3), ("bo2", oracles.eval_T_bo2)):
         for u in np.arange(0.05, 1.0, 0.01):
             for fp_id, loc in fixed_point_locations(model, float(u)).items():
                 image = t_map(float(u), loc)
@@ -106,7 +104,7 @@ def test_jacobian_analytic_vs_numeric():
 
 def test_jacobian_vs_oracle_finite_difference():
     def t_bo3(x, y):
-        return eval_T_bo3(0.8, (x, y))
+        return oracles.eval_T_bo3(0.8, (x, y))
 
     jn = oracles.fd_jacobian(t_bo3, 0.2, 0.1)
     ja = jacobian_analytic("bo3", 0.8, (0.2, 0.1))

@@ -12,8 +12,6 @@ from hypothesis import strategies as st
 
 import votedyn as vd
 from votedyn import (
-    eval_T_bo2,
-    eval_T_bo3,
     fixed_point_locations,
     induced_map,
     iterate,
@@ -106,31 +104,31 @@ def test_eval_H_stays_in_unit_square(a1, a2, r):
 
 def test_eval_T_trivial_fixed_points():
     for u in (0.0, 0.3, 0.75, 1.0):
-        for f in (eval_T_bo3, eval_T_bo2):
+        for f in (oracles.eval_T_bo3, oracles.eval_T_bo2):
             assert _close(f(u, (0.0, 0.0)), (0.0, 0.0), tol=0.0)
             assert _close(f(u, (0.0, 1.0)), (0.0, 1.0), tol=0.0)
 
 
 def test_eval_T_bo3_frozen_point():
     # Exact rational value: (7361/31250, 7283/50000).
-    assert _close(eval_T_bo3(0.8, (0.2, 0.1)), (0.235552, 0.14566), tol=1e-15)
+    assert _close(oracles.eval_T_bo3(0.8, (0.2, 0.1)), (0.235552, 0.14566), tol=1e-15)
 
 
 def test_eval_T_bo2_frozen_point():
     # Exact rational value: (6371/25000, 7251/50000).
-    assert _close(eval_T_bo2(0.8, (0.2, 0.1)), (0.25484, 0.14502), tol=1e-15)
+    assert _close(oracles.eval_T_bo2(0.8, (0.2, 0.1)), (0.25484, 0.14502), tol=1e-15)
 
 
 def test_eval_T_bo3_odd_in_d1():
-    t1, t2 = eval_T_bo3(0.8, (0.2, 0.1))
-    s1, s2 = eval_T_bo3(0.8, (-0.2, 0.1))
+    t1, t2 = oracles.eval_T_bo3(0.8, (0.2, 0.1))
+    s1, s2 = oracles.eval_T_bo3(0.8, (-0.2, 0.1))
     assert s1 == -t1 and s2 == t2
 
 
 @given(diamond_points, st.floats(0.0, 1.0, allow_nan=False))
 @settings(max_examples=100, deadline=None)
 def test_eval_T_odd_in_d1_everywhere(d, u):
-    for f in (eval_T_bo3, eval_T_bo2):
+    for f in (oracles.eval_T_bo3, oracles.eval_T_bo2):
         t1, t2 = f(u, d)
         s1, s2 = f(u, (-d[0], d[1]))
         assert s1 == pytest.approx(-t1, abs=1e-15)
@@ -143,7 +141,7 @@ def test_bo2_equals_bo3_at_u_one():
         for d2 in grid:
             if d1 + d2 > 1.0 + 1e-12:
                 continue
-            assert _close(eval_T_bo2(1.0, (d1, d2)), eval_T_bo3(1.0, (d1, d2)))
+            assert _close(oracles.eval_T_bo2(1.0, (d1, d2)), oracles.eval_T_bo3(1.0, (d1, d2)))
 
 
 # --- conjugation: T = to_delta . H . to_alpha ---
@@ -153,7 +151,7 @@ def test_bo2_equals_bo3_at_u_one():
 @settings(max_examples=150, deadline=None)
 def test_conjugation_identity(d, u, model):
     rule = make_rule_bo3() if model == "bo3" else make_rule_bo2()
-    closed = eval_T_bo3 if model == "bo3" else eval_T_bo2
+    closed = oracles.eval_T_bo3 if model == "bo3" else oracles.eval_T_bo2
     m = induced_map(rule, r_of_u(u))
     assert _close(eval_T_generic(m, d), closed(m.u, d))
 
@@ -161,7 +159,7 @@ def test_conjugation_identity(d, u, model):
 def test_conjugation_identity_on_grid():
     grid = np.arange(0.0, 1.0 + 1e-12, 0.02)
     for u in (0.0, 0.25, 0.5, 2.0 / 3.0, 0.75, 0.9, 1.0):
-        for model, closed in (("bo3", eval_T_bo3), ("bo2", eval_T_bo2)):
+        for model, closed in (("bo3", oracles.eval_T_bo3), ("bo2", oracles.eval_T_bo2)):
             rule = make_rule_bo3() if model == "bo3" else make_rule_bo2()
             m = induced_map(rule, r_of_u(u))
             worst = 0.0
@@ -211,7 +209,7 @@ def test_T_generic_preserves_S(d, u):
 @given(diamond_points, st.floats(0.0, 1.0, allow_nan=False))
 @settings(max_examples=150, deadline=None)
 def test_T_preserves_diamond(d, u):
-    for f in (eval_T_bo3, eval_T_bo2):
+    for f in (oracles.eval_T_bo3, oracles.eval_T_bo2):
         t1, t2 = f(u, d)
         assert abs(t1) + abs(t2) <= 1.0 + 1e-12
 
@@ -224,7 +222,7 @@ def test_iterate_shape_and_start():
     pts = iterate(m, (0.2, 0.1), 3)
     assert pts.shape == (4, 2)
     assert _close(pts[0], (0.2, 0.1), tol=0.0)
-    assert _close(pts[1], eval_T_bo3(m.u, (0.2, 0.1)))
+    assert _close(pts[1], oracles.eval_T_bo3(m.u, (0.2, 0.1)))
     assert iterate(m, (0.2, 0.1), 0).shape == (1, 2)
 
 

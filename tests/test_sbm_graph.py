@@ -546,6 +546,31 @@ def test_load_accepts_blank_lines_and_no_edges():
     assert edge_set(g) == {(0, 1), (2, 3)}
 
 
+class _Unseekable(io.StringIO):
+    def seekable(self):
+        return False
+
+
+def test_load_sizes_the_neighbor_array_from_a_seekable_source(monkeypatch):
+    # a seekable source is counted first, two entries per line and per
+    # vertex pair at most, and the count leaves the position where the edges
+    # start; a source that cannot seek grows the array block by block, here
+    # in steps of 8 entries, and both give the saved graph
+    g = generate_sbm(30, 0.3, 0.1, seed=2)
+    text = _saved(g)
+    fh = io.StringIO(text)
+    fh.readline()
+    start = fh.tell()
+    assert sbm_graph._entry_bound(fh, g.num_vertices) == 2 * (g.num_edges + 1)
+    assert fh.tell() == start
+    assert sbm_graph._entry_bound(_Unseekable(text), g.num_vertices) == 0
+    assert sbm_graph._entry_bound(io.StringIO("\n" * 100), 4) == 12
+    monkeypatch.setattr(sbm_graph, "BUILD_BLOCK", 8)
+    for source in (io.StringIO(text), _Unseekable(text)):
+        got = load_graph(source)
+        assert np.array_equal(got.offsets, g.offsets) and np.array_equal(got.neighbors, g.neighbors)
+
+
 class _Writes(io.StringIO):
     # records the size of every write
     def __init__(self):

@@ -138,21 +138,46 @@ def test_a_state_owns_a_read_only_copy_of_its_member():
     stepped = step_sampling(g, s, make_rule_bo3(), np.random.default_rng(0))
     assert not s.member.flags.writeable and not stepped.member.flags.writeable
     # built directly, a state takes no mask the caller could still write,
-    # itself or through its base
+    # itself or through its base, and no counts beside it
     view = member[:]
     view.setflags(write=False)
     for bad in (member, view, np.zeros(6, dtype=np.uint8), [False] * 6):
         with pytest.raises(ValueError, match="read-only 1-d bool mask"):
-            vd.OpinionState(bad, 0, 0)
+            vd.OpinionState(bad)
     owned = np.zeros(6, dtype=bool)
     owned.setflags(write=False)
-    assert vd.OpinionState(owned, 0, 0).member is owned
+    assert vd.OpinionState(owned).member is owned
+    with pytest.raises(TypeError):
+        vd.OpinionState(owned, 0, 0)
 
 
-def test_step_probabilities_counts_a_state_once_per_graph(count_in_calls):
+def test_a_state_reads_its_counts_from_its_mask():
+    # a state took its counts beside its mask, and OpinionState(all_ones, 0,
+    # 0) made run_until_consensus report consensus on opinion 2 at t = 0
+    g = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
+    ones = np.ones(6, dtype=bool)
+    ones.setflags(write=False)
+    s = vd.OpinionState(ones)
+    assert (s.count1, s.count2) == (3, 3) and fractions(s) == (1.0, 1.0)
+    traj = run_until_consensus(g, s, make_rule_bo3(), 10, np.random.default_rng(0))
+    assert (traj.status, traj.final_opinion, traj.t_cons) == (vd.STATUS_CONSENSUS, 1, 0)
+
+
+def test_states_compare_by_identity():
+    # the generated __eq__ compared the masks, which raised ValueError, and
+    # the generated __hash__ hashed them, which raised TypeError
+    a = state_from_member([True, False, False, True])
+    b = state_from_member([True, False, False, True])
+    assert a == a and a != b and not a == b
+    assert len({a, b, a}) == 2 and a in {a}
+
+
+def test_step_probabilities_counts_a_state_once_per_graph(count_calls):
     # one count serves every rule on the graph the state was last counted
     # on; another graph of the same size, or a return to the first, counts
-    # again. The Horner path (degrees above PROB_TABLE_DEG) shares the count
+    # again. It is one call of the count kernel on either path: the table
+    # keys, or the neighbour count of the Horner path (degrees above
+    # PROB_TABLE_DEG)
     rules = (make_rule_bo3(), make_rule_bo2(), make_rule_best_of(2))
     member = np.array([True, True, False, False, True, False])
     ring = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
@@ -163,10 +188,12 @@ def test_step_probabilities_counts_a_state_once_per_graph(count_in_calls):
     got = {}
     for g in (ring, star, ring):
         got[g] = [step_probabilities(g, s, rule) for rule in rules]
-    assert len(count_in_calls) == 3
+    assert len(count_calls) == 3
     on_dense = state_from_member(np.arange(80) % 3 == 0)
     got[dense] = [step_probabilities(dense, on_dense, rule) for rule in rules]
-    assert len(count_in_calls) == 4
+    assert len(count_calls) == 4
+    # the small graphs counted table keys, the dense one a neighbour count
+    assert ring._key_ids and star._key_ids and dense._key_ids is False
     # bit for bit what fresh states give, and each graph's own law
     for g, probs in got.items():
         m = on_dense.member if g is dense else member
@@ -181,10 +208,10 @@ def test_step_probabilities_counts_a_state_once_per_graph(count_in_calls):
     del ring
     gc.collect()
     assert ref() is None
-    counted = len(count_in_calls)
+    counted = len(count_calls)
     ring = graph_from_edges(3, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)])
     assert step_probabilities(ring, s, rules[0]).tobytes() == ring_law.tobytes()
-    assert len(count_in_calls) == counted + 1
+    assert len(count_calls) == counted + 1
 
 
 @given(
@@ -348,8 +375,10 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
         graph_from_edges(3, []),
         _hub_graph(32, cap),  # the table path at its largest degree
         _hub_graph(33, cap + 1, isolated=(65,)),  # the Horner path
+        generate_sbm(1200, 0.025, 0.006, seed=1),  # Horner: more than one count block
     ]
     assert int(graphs[0].degrees.max()) < cap
+    assert graphs[-1].neighbors.size > vd.sbm_graph.BUILD_BLOCK and int(graphs[-1].degrees.max()) <= cap
     rules = [
         make_rule_bo3(),
         make_rule_bo2(),
@@ -369,17 +398,19 @@ def test_step_probabilities_match_polyval_reference_bit_for_bit():
                 want = _reference_step_probabilities(g, member, rule)
                 assert got.dtype == want.dtype and got.shape == want.shape
                 assert got.tobytes() == want.tobytes(), (rule.name, nv)
-    # one read-only table per rule, f2's half and then f1's, each of a size
-    # fixed by the cap alone and ending in an isolated vertex's opinion,
-    # and no graph replaced it
-    half = (cap + 1) * (cap + 2) // 2 + 1
+    assert [g._key_ids is False for g in graphs] == [False, False, False, True, True]
+    # one read-only table per rule, of a size fixed by the cap alone: degree
+    # d owns the entries from d(d+1) on, its law for a vertex holding
+    # opinion 2 and then for one holding opinion 1, and degree 0 holds what
+    # an isolated vertex keeps; no graph replaced it
     for rule, table in zip(rules, tables):
         assert rule._table is table
         assert not table.flags.writeable
-        assert table.shape == (2 * half,)
-        assert (table[half - 1], table[-1]) == (0.0, 1.0)
-        same = table[: half - 1].tobytes() == table[half:-1].tobytes()
-        assert same == (rule.name != "bo2")
+        assert table.shape == ((cap + 1) * (cap + 2),)
+        assert table[:2].tolist() == [0.0, 1.0]
+        # bo2's two laws meet only at x = 0 and 1, all that degree 1 holds
+        halves = [(table[d * (d + 1) :][: d + 1], table[(d + 1) ** 2 :][: d + 1]) for d in range(2, cap + 1)]
+        assert {a.tobytes() == b.tobytes() for a, b in halves} == {rule.name != "bo2"}, rule.name
 
 
 def _reference_step_sampling(g, member, rule, bitgen):
