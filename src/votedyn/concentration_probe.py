@@ -37,13 +37,23 @@ __all__ = [
 
 
 def _as_mask(nv: int, s) -> np.ndarray:
+    # a vertex set is a boolean mask of length nv or integer ids in [0, nv);
+    # an empty sequence is the empty set
     s = np.asarray(s)
+    if s.ndim != 1:
+        raise ValueError("a vertex set must be 1-d")
     if s.dtype == bool:
         if s.size != nv:
             raise ValueError("mask length does not match vertex count")
         return s
     mask = np.zeros(nv, dtype=bool)
-    mask[s.astype(np.int64)] = True
+    if not s.size:
+        return mask
+    if s.dtype.kind not in "iu":
+        raise ValueError(f"vertex ids must be integers, got {s.dtype}")
+    if s.min() < 0 or s.max() >= nv:
+        raise ValueError(f"vertex ids must lie in [0, {nv})")
+    mask[s] = True
     return mask
 
 
@@ -187,19 +197,24 @@ def _ideal_ratios(g: Graph, a_mask: np.ndarray):
     return (c1, c2), (z1, z2)
 
 
-def _ratio_profile(g: Graph, a_mask: np.ndarray):
+def _laws_at(g: Graph, rule: VotingRule, a_mask: np.ndarray) -> list[tuple]:
+    """f1 then f2, each as (f(x), f(z1), f(z2)): its values at every vertex's
+    neighbor ratio x_v = deg_A(v)/deg(v) and at the two ideal ratios."""
     x = g.count_in(a_mask) / np.maximum(g.degrees, 1)
-    return x, _ideal_ratios(g, a_mask)[1]
+    z1, z2 = _ideal_ratios(g, a_mask)[1]
+    return [(f(x), f(z1), f(z2)) for f in (rule.f1, rule.f2)]
 
 
-def _community_sums(g: Graph, s_mask: np.ndarray, values: np.ndarray):
+def _gaps(g: Graph, s_mask: np.ndarray, laws: list[tuple]) -> list:
+    """sum_{v in S∩V_i} f(x_v) - |S∩V_i| f(z_i) for each law of _laws_at in
+    turn, community 1 before community 2."""
     n = g.n
-    in1 = s_mask[:n]
-    in2 = s_mask[n:]
-    return (
-        (float(values[:n][in1].sum()), int(np.count_nonzero(in1))),
-        (float(values[n:][in2].sum()), int(np.count_nonzero(in2))),
-    )
+    in1, in2 = s_mask[:n], s_mask[n:]
+    cnt1, cnt2 = int(np.count_nonzero(in1)), int(np.count_nonzero(in2))
+    gaps = []
+    for fx, fz1, fz2 in laws:
+        gaps += [float(fx[:n][in1].sum()) - cnt1 * fz1, float(fx[n:][in2].sum()) - cnt2 * fz2]
+    return gaps
 
 
 def p2_scan(g: Graph, rule: VotingRule, samples: int, rng: np.random.Generator) -> float:
@@ -213,17 +228,10 @@ def p2_scan(g: Graph, rule: VotingRule, samples: int, rng: np.random.Generator) 
     worst = 0.0
     for _ in range(samples):
         a_mask = rng.random(nv) < rng.uniform(0.05, 0.95)
-        x, (z1, z2) = _ratio_profile(g, a_mask)
+        laws = _laws_at(g, rule, a_mask)
         s_choices = [pool[0], pool[1], pool[2], a_mask, ~a_mask, rng.random(nv) < 0.5]
         s_mask = s_choices[rng.integers(len(s_choices))]
-        for f in (rule.f1, rule.f2):
-            fx = f(x)
-            (sum1, cnt1), (sum2, cnt2) = _community_sums(g, s_mask, fx)
-            worst = max(
-                worst,
-                abs(sum1 - cnt1 * f(z1)) / norm,
-                abs(sum2 - cnt2 * f(z2)) / norm,
-            )
+        worst = max(worst, *(abs(gap) / norm for gap in _gaps(g, s_mask, laws)))
     return float(worst)
 
 
@@ -249,16 +257,9 @@ def p3_scan(
         size, norm = sizes[k % len(sizes)], norms[k % len(sizes)]
         a_mask = np.zeros(nv, dtype=bool)
         a_mask[rng.permutation(nv)[:size]] = True
-        x, (z1, z2) = _ratio_profile(g, a_mask)
+        laws = _laws_at(g, rule, a_mask)
         for s_mask in (a_mask, ~a_mask, full):
-            for f in (rule.f1, rule.f2):
-                fx = f(x)
-                (sum1, cnt1), (sum2, cnt2) = _community_sums(g, s_mask, fx)
-                worst = max(
-                    worst,
-                    (sum1 - cnt1 * f(z1)) / norm,
-                    (sum2 - cnt2 * f(z2)) / norm,
-                )
+            worst = max(worst, *(gap / norm for gap in _gaps(g, s_mask, laws)))
     return float(max(worst, 0.0))
 
 

@@ -17,7 +17,8 @@ the array grows in place, in fixed steps, and nothing else the build
 allocates is larger than a fixed slice. The sampler appends each block's
 ascending pair indices to it; once all three blocks are in, the indices move
 to its upper half and the keys are written front to back over them. A parsed
-block's id pairs are appended and turned into their keys in place. One
+block's keys are written after those of the blocks before it. One writer,
+_write_keys, computes every key, of all three builds, at the key width. One
 in-place sort orders the keys by (u, v), the offsets are read off them by
 binary search, and masking them to their low s bits in place turns them into
 the neighbor ids, which keep the key width. n and the directed entries have
@@ -81,14 +82,12 @@ class Graph:
     seed: int = 0
     degrees: np.ndarray = field(init=False, repr=False)
     isolated: np.ndarray = field(init=False, repr=False)
-    # whether count_in uses packed rows, set at construction, then the rows
-    # or a one-block graph's count arrays, made by its first count_in, and
-    # the probability-table key ids of voting_core.step_probabilities, made
-    # by its first call; class defaults rather than fields, so constructing a
-    # graph sets none of them
+    # whether count_in uses packed rows, set at construction, then the rows,
+    # made by its first count_in, and the probability-table key ids of
+    # voting_core.step_probabilities, made by its first call; class defaults
+    # rather than fields, so constructing a graph sets none of them
     _packed = False
     _rows = None
-    _ids = None
     _key_ids = None
 
     def __post_init__(self):
@@ -119,25 +118,16 @@ class Graph:
         built by its first call and kept: bit v of row u is set iff v is a
         neighbor of u, and a vertex's count is the population count of its
         row and the packed mask. Any other graph gathers the mask over its
-        neighbor array, in vertex blocks of at most BUILD_BLOCK entries once
-        it has more."""
+        neighbor array, in vertex blocks of at most BUILD_BLOCK entries."""
         if self._packed:
             if self._rows is None:
                 object.__setattr__(self, "_rows", _pack_rows(self))
             return _count_rows(self._rows, mask)
         ids, offsets = self.neighbors, self.offsets
-        if ids.size <= BUILD_BLOCK:
-            # one block, no walk, and the intp ids and a writeable copy of
-            # the row starts kept from the first count on: reduceat copies a
-            # read-only index array on every call
-            if self._ids is None:
-                object.__setattr__(self, "_ids", (ids.astype(np.intp), offsets[:-1].copy()))
-            count = _count_ids(mask, *self._ids)
-        else:
-            count = np.empty(self.degrees.size, dtype=np.int32)
-            for lo, hi in _row_blocks(offsets, BUILD_BLOCK):
-                a = offsets[lo]  # the block's intp ids are freed by the return
-                _count_ids(mask, ids[a : offsets[hi]].astype(np.intp), offsets[lo:hi] - a, out=count[lo:hi])
+        count = np.empty(self.degrees.size, dtype=np.int32)
+        for lo, hi in _row_blocks(offsets, BUILD_BLOCK):
+            a = offsets[lo]  # the block's intp ids are freed by the return
+            _count_ids(mask, ids[a : offsets[hi]].astype(np.intp), offsets[lo:hi] - a, out=count[lo:hi])
         # a degree-0 vertex reads one stray vote
         if self.isolated.size:
             count[self.isolated] = 0
@@ -311,13 +301,16 @@ def _count_ids(mask, ids, starts, out=None) -> np.ndarray:
 
 
 def _write_keys(keys: np.ndarray, lo: int, u: np.ndarray, v: np.ndarray, s: int) -> int:
-    # both directed keys of the edges (u, v) into keys[lo:]; returns the end
-    e = u.size
+    # both directed keys of the edges (u, v) into keys[lo:], and returns the
+    # end. They are computed at the key width, where a narrower id type would
+    # overflow the shift; the ufuncs cast the ids in buffered chunks, so no
+    # full-size temporary is made
+    e, dtype = u.size, keys.dtype
     fwd, rev = keys[lo : lo + e], keys[lo + e : lo + 2 * e]
-    np.left_shift(u, s, out=fwd)
-    fwd |= v
-    np.left_shift(v, s, out=rev)
-    rev |= u
+    np.left_shift(u, s, out=fwd, dtype=dtype)
+    np.bitwise_or(fwd, v, out=fwd, dtype=dtype)
+    np.left_shift(v, s, out=rev, dtype=dtype)
+    np.bitwise_or(rev, u, out=rev, dtype=dtype)
     return lo + 2 * e
 
 
@@ -332,36 +325,32 @@ def _write_block(keys, lo, hits, starts, row0, col0, s) -> int:
     return lo
 
 
-def _append(keys: np.ndarray, end: int, items: np.ndarray, cap: int) -> int:
-    # items, in C order, into keys[end:], a graph's neighbor array while it is
-    # built, and returns the new end. The array grows in place, by
-    # ndarray.resize, a realloc that on Linux remaps a large array rather than
-    # copying it, to a whole number of BUILD_BLOCK entries: growth by a factor
-    # leaves up to that factor of slack. It never grows past cap entries, and
-    # a view of it made before the call must not be used after it
-    new = end + items.size
+def _make_room(keys: np.ndarray, new: int, cap: int) -> None:
+    # grows keys, a graph's neighbor array while it is built, to hold new
+    # entries. It grows in place, by ndarray.resize, a realloc that on Linux
+    # remaps a large array rather than copying it, to a whole number of
+    # BUILD_BLOCK entries: growth by a factor leaves up to that factor of
+    # slack. It never grows past cap entries, and a view of it made before the
+    # call must not be used after it
     if new > keys.size:
         if new > cap:
             raise ValueError(f"a graph may hold at most {MAX_ENTRIES} directed entries")
         keys.resize(min(cap, -(-new // BUILD_BLOCK) * BUILD_BLOCK), refcheck=False)
-    keys[end:new].reshape(items.shape)[...] = items
+
+
+def _append(keys: np.ndarray, end: int, items: np.ndarray, cap: int) -> int:
+    # the 1-d items into keys[end:], and returns the new end
+    new = end + items.size
+    _make_room(keys, new, cap)
+    keys[end:new] = items
     return new
 
 
-def _append_pairs(keys: np.ndarray, end: int, pairs: np.ndarray, s: int) -> int:
-    # the directed keys of the (E, 2) id pairs into keys[end:], BUILD_BLOCK
-    # pairs at a time, and returns the new end: a block's u ids and then its
-    # v ids are appended, and the two halves turned into its keys in place
-    for lo in range(0, len(pairs), BUILD_BLOCK):
-        new = _append(keys, end, pairs[lo : lo + BUILD_BLOCK].T, MAX_ENTRIES)
-        u, v = keys[end:new].reshape(2, -1)
-        rev = v << s
-        rev |= u
-        u <<= s
-        u |= v
-        v[...] = rev
-        end = new
-    return end
+def _append_keys(keys: np.ndarray, end: int, pairs: np.ndarray, s: int) -> int:
+    # the directed keys of the (E, 2) id pairs into keys[end:], and returns
+    # the new end
+    _make_room(keys, end + pairs.size, MAX_ENTRIES)
+    return _write_keys(keys, end, pairs[:, 0], pairs[:, 1], s)
 
 
 def _graph_from_keys(n: int, keys: np.ndarray, s: int, p: float, q: float, seed: int) -> Graph:
@@ -492,12 +481,7 @@ def graph_from_edges(n: int, edges, p: float = 0.0, q: float = 0.0, seed: int = 
         raise ValueError("edge endpoint out of range")
     s, dtype = _key_layout(nv)
     keys = np.empty(arr.size, dtype=dtype)
-    # each pair's two keys straight from it, computed at the key width, where
-    # a narrower id type would overflow the shift; the ufuncs cast the ids in
-    # buffered chunks, so no full-size temporary is made
-    both = keys.reshape(-1, 2)
-    np.left_shift(arr, s, out=both, dtype=dtype)
-    np.bitwise_or(both, arr[:, ::-1], out=both, dtype=dtype)
+    _write_keys(keys, 0, arr[:, 0], arr[:, 1], s)
     return _graph_from_keys(n, keys, s, p, q, seed)
 
 
@@ -553,10 +537,11 @@ def load_graph(source) -> Graph:
     n and seed are digits with an optional minus sign, and p and q unsigned
     decimals with an optional exponent, such as 0.5, 1e-05 or 2.5E+3. n may
     be at most MAX_N, and the edges make at most MAX_ENTRIES directed
-    entries."""
+    entries. A path is read with lines ended by line feeds alone, as an
+    io.StringIO reads them, so a carriage return stays a blank."""
     if hasattr(source, "read"):
         return _read_graph(source)
-    with open(source, "r", encoding="ascii") as fh:
+    with open(source, "r", encoding="ascii", newline="\n") as fh:
         return _read_graph(fh)
 
 
@@ -588,10 +573,10 @@ def _read_graph(fh) -> Graph:
         data = chunk.encode("ascii", "replace")
         cut = data.rfind(b"\n") + 1
         if cut:
-            end = _append_pairs(keys, end, _parse_lines(b"".join([*tail, data[:cut]]), nv), s)
+            end = _append_keys(keys, end, _parse_lines(b"".join([*tail, data[:cut]]), nv), s)
             tail = []
         tail.append(data[cut:])
-    end = _append_pairs(keys, end, _parse_lines(b"".join(tail) + b"\n", nv), s)
+    end = _append_keys(keys, end, _parse_lines(b"".join(tail) + b"\n", nv), s)
     keys.resize(end, refcheck=False)
     return _graph_from_keys(n, keys, s, p, q, seed)
 

@@ -555,6 +555,19 @@ def test_goodness_rejects_what_the_probes_cannot_run(monkeypatch, capsys, tmp_pa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("body", [b"0 1\r2 3\n", b"0 1 \r 2 3\n"])
+def test_goodness_graph_with_a_lone_carriage_return_exits_2(tmp_path, capsys, body):
+    # a carriage return is a blank, so each file holds one line of four ids
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"sbm 2 0.5 0.5 0\n" + body)
+    out = tmp_path / "good.json"
+    code = main(["goodness", "--graph", str(path), "--rule", "bo3", "--samples", "5",
+                 "--seed", "3", "-o", str(out)])
+    assert code == 2
+    assert "two integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_goodness_runs_on_tiny_graph(tmp_path):
     # no constant assertions at this size; the probe just has to complete
     out = tmp_path / "tiny.json"

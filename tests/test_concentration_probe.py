@@ -92,6 +92,32 @@ def test_w_stat_validation():
         w_stat(g, np.zeros(7, dtype=bool), [list(range(5))])
 
 
+@pytest.mark.parametrize(
+    "bad, match",
+    [
+        ([-1], r"lie in \[0, 20\)"),  # read as vertex 19
+        ([0.7], "must be integers"),  # read as vertex 0
+        ([25], r"lie in \[0, 20\)"),  # an IndexError
+        (np.array([2**63], dtype=np.uint64), r"lie in \[0, 20\)"),
+        ([[0, 1]], "1-d"),
+        (np.zeros((1, 20), dtype=bool), "1-d"),
+        (["1"], "must be integers"),
+    ],
+)
+def test_vertex_sets_are_masks_or_ids_in_range(bad, match):
+    g = generate_sbm(10, 0.5, 0.1, seed=1)
+    ones = np.ones(20, dtype=bool)
+    for call in (lambda: w_stat(g, bad, [ones]), lambda: w_stat(g, ones, [bad]),
+                 lambda: w_hat(10, 0.5, 0.1, bad, [ones])):
+        with pytest.raises(ValueError, match=match):
+            call()
+    # the empty set, as a list or an empty array of any type
+    for empty in ([], np.empty(0), np.empty(0, dtype=np.int8)):
+        assert w_stat(g, empty, [ones]) == 0.0 == w_hat(10, 0.5, 0.1, empty, [ones])
+        assert w_stat(g, ones, [empty]) == 0.0
+    assert w_stat(g, np.array([19], dtype=np.uint8), [ones]) == float(g.degrees[19])
+
+
 # --- w_hat ---
 
 

@@ -399,6 +399,20 @@ def test_graph_from_edges_takes_only_integer_ids(edges):
         assert graph_from_edges(2, ok).num_edges == len(ok)
 
 
+@pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.int32, np.int64])
+def test_graph_from_edges_computes_keys_at_the_key_width(dtype):
+    # 200 vertices: s = 8, so a key shifted at int16 overflows and one at
+    # uint8 drops the high id, which reads as a self loop; either way round,
+    # the pairs give the sampled graph's CSR
+    g = generate_sbm(100, 0.1, 0.05, seed=3)
+    edges = _edge_array(g)
+    assert edges.max() <= np.iinfo(dtype).max
+    for pairs in (edges, edges[::-1, ::-1]):
+        got = graph_from_edges(g.n, pairs.astype(dtype), p=g.p, q=g.q, seed=g.seed)
+        assert np.array_equal(got.offsets, g.offsets) and np.array_equal(got.neighbors, g.neighbors)
+        assert got.neighbors.dtype == np.int32
+
+
 def test_save_load_round_trip_exact():
     g = generate_sbm(40, 0.3, 0.1, seed=12)
     buf = io.StringIO()
@@ -544,6 +558,33 @@ def test_load_accepts_blank_lines_and_no_edges():
     assert g.num_edges == 0 and g.offsets.tolist() == [0] * 5
     g = load_graph(io.StringIO("sbm 2 0.5 0.1 0\n0 1\n\n2 3\n"))
     assert edge_set(g) == {(0, 1), (2, 3)}
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("sbm 2 0.5 0.5 0\n0 1\r2 3\n", "two integer"),
+        ("sbm 2 0.5 0.5 0\n0 1 \r 2 3\n", "two integer"),
+        # a carriage return does not end the header either
+        ("sbm 2 0.5 0.5 0\r0 1\n2 3\n", "bad header"),
+    ],
+)
+def test_load_keeps_a_lone_carriage_return_a_blank(tmp_path, text, match):
+    # a path is read as a text handle reads the same text: a lone carriage
+    # return is a blank, so neither body line holds exactly two ids, and it
+    # does not end the header
+    path = tmp_path / "g.txt"
+    path.write_bytes(text.encode("ascii"))
+    for source in (path, str(path), io.StringIO(text)):
+        with pytest.raises(ValueError, match=match):
+            load_graph(source)
+
+
+def test_load_reads_crlf_files_from_a_path(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"sbm 2 0.5 0.5 0\r\n0 1\r\n\r\n2 3\r\n")
+    g = load_graph(path)
+    assert (g.n, g.p, g.q, g.seed) == (2, 0.5, 0.5, 0) and edge_set(g) == {(0, 1), (2, 3)}
 
 
 class _Unseekable(io.StringIO):
@@ -894,9 +935,8 @@ def test_deg_in_set_matches_brute_force(monkeypatch):
     # 100 or 5 entries every graph with at least that many and 2 per row word
     # does, its rows built and counted in many blocks. The sparse graph of 200
     # vertices gathers, in vertex blocks of about 100 entries, or of one
-    # vertex each when a degree passes 5. A one-block graph counts on its
-    # cached ids and row starts, here also with isolated vertices first, in
-    # the middle and last
+    # vertex each when a degree passes 5. A one-block graph counts in the one
+    # block, here also with isolated vertices first, in the middle and last
     layouts = {
         sbm_graph.BUILD_BLOCK: [False, False, False, True, True, False],
         100: [True, True, False, True, True, False],
@@ -978,7 +1018,7 @@ def test_gather_count_peaks_within_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 14 * sbm_graph.BUILD_BLOCK + 8 * nv, (peak - 8 * nv) / sbm_graph.BUILD_BLOCK
-    assert g._ids is None
+    assert vars(g).keys() == {f.name for f in dataclasses.fields(g)}  # nothing kept
     votes = np.add.reduceat(mask[g.neighbors.astype(np.intp)].astype(np.int32), g.offsets[:-1])
     assert np.array_equal(count, np.where(g.degrees > 0, votes, 0))
 
