@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-from dataclasses import replace
+from dataclasses import fields, replace
 import json
 import math
 import os
@@ -53,6 +53,11 @@ def _emit(path, text: str) -> None:
         fh.write(text)
 
 
+def _emit_json(path, doc) -> None:
+    """The one writer of the JSON documents the CLI produces."""
+    _emit(path, json.dumps(doc, indent=2) + "\n")
+
+
 # ---------------------------------------------------------------- config files
 
 
@@ -69,6 +74,9 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+# the keys an experiment config file may hold (sweep also reads r_grid); any
+# other key is refused, so a misspelt one never leaves its field at a default
+_CONFIG_KEYS = sorted({f.name for f in fields(eh.ExperimentConfig)} | {"seed"})
 # JSON types a config field of each kind accepts; nothing else is coerced,
 # and a boolean never passes as a number
 _CONFIG_TYPES = {bool: (bool,), int: (int,), float: (int, float), str: (str,)}
@@ -97,6 +105,10 @@ def _experiment_config(
     default_steps: int,
     r_fallback: float | None = None,
 ) -> eh.ExperimentConfig:
+    unknown = sorted(set(cfg).difference(_CONFIG_KEYS))
+    if unknown:
+        named = ", ".join(f"config.{key}" for key in unknown)
+        raise ValueError(f"{named}: unknown key (known: {', '.join(_CONFIG_KEYS)})")
     r = _merged(args, cfg, "r", float, r_fallback, required=r_fallback is None)
     seed = _merged(args, cfg, "seed", int)
     if seed is None and "master_seed" in cfg:
@@ -113,11 +125,6 @@ def _experiment_config(
         shared_graph=_merged(args, cfg, "shared_graph", bool, False),
         workers=_merged(args, cfg, "workers", int, 1),
     )
-
-
-def _records_json(records) -> list[dict]:
-    # TrialRecord's field order is the JSON key order
-    return [{key: value for key, value in vars(rec).items() if key != "alphas"} for rec in records]
 
 
 # ---------------------------------------------------------------- subcommands
@@ -180,7 +187,7 @@ def cmd_analyze(args) -> int:
         "r": idyn.r_of_u(u),
         "fixed_points": [rep.to_json_dict() for rep in reports],
     }
-    _emit(args.output, json.dumps(doc, indent=2) + "\n")
+    _emit_json(args.output, doc)
     return 0
 
 
@@ -192,10 +199,11 @@ def cmd_vector_field(args) -> int:
 
 def cmd_sweep(args) -> int:
     cfg_file = load_config(args.config)
+    # r_grid is read here, so the experiment config never sees it
+    r_grid = cfg_file.pop("r_grid", None)
     if args.r_grid:
         r_grid = [float(tok) for tok in args.r_grid.split(",")]
     else:
-        r_grid = cfg_file.get("r_grid")
         numbers = isinstance(r_grid, list) and all(type(v) in _CONFIG_TYPES[float] for v in r_grid)
         if not (numbers and r_grid):
             raise ValueError(
@@ -220,9 +228,7 @@ def cmd_sweep(args) -> int:
             for blk in results
         ],
     }
-    with open(os.path.join(args.outdir, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
-        fh.write("\n")
+    _emit_json(os.path.join(args.outdir, "summary.json"), summary)
     for blk in summary["per_r"]:
         print(f"r={blk['r']:g} consensus_fraction={blk['consensus_fraction']:.3f}", file=sys.stderr)
     print(f"wrote {csv_path}", file=sys.stderr)
@@ -245,53 +251,54 @@ def _config_echo(cfg: eh.ExperimentConfig) -> dict:
     }
 
 
-def cmd_sink_persist(args) -> int:
-    cfg_file = load_config(args.config)
-    cfg = _experiment_config(args, cfg_file, default_init=None, default_steps=10000)
-    report = eh.sink_persistence(cfg, epsilon=args.epsilon)
-    records = report.pop("records")
+def _emit_report(path, cfg: eh.ExperimentConfig, report: dict) -> None:
+    """Write a driver's report with the config echoed after its fields and,
+    when the report keeps trial records, the records last."""
+    records = report.pop("records", None)
     report["config"] = _config_echo(cfg)
-    report["records"] = _records_json(records)
-    _emit(args.output, json.dumps(report, indent=2) + "\n")
+    if records is not None:
+        # TrialRecord's field order is the JSON key order
+        report["records"] = [
+            {key: value for key, value in vars(rec).items() if key != "alphas"} for rec in records
+        ]
+    _emit_json(path, report)
+
+
+def cmd_sink_persist(args) -> int:
+    cfg = _experiment_config(args, load_config(args.config), default_init=None, default_steps=10000)
+    _emit_report(args.output, cfg, eh.sink_persistence(cfg, epsilon=args.epsilon))
     return 0
 
 
 def cmd_escape(args) -> int:
-    cfg_file = load_config(args.config)
-    cfg = _experiment_config(args, cfg_file, default_init="half_half", default_steps=1000)
+    cfg = _experiment_config(args, load_config(args.config), default_init="half_half", default_steps=1000)
     if not 0.0 <= args.budget_c < math.inf:
         raise ValueError(f"--budget-c must be a finite number >= 0, got {args.budget_c}")
     budget = args.budget
     if budget is None:
         budget = math.ceil(args.budget_c * math.log(cfg.n))
-    report = eh.escape_time(cfg, kappa=args.kappa, budget=budget)
-    records = report.pop("records")
-    report["config"] = _config_echo(cfg)
-    report["records"] = _records_json(records)
-    _emit(args.output, json.dumps(report, indent=2) + "\n")
+    _emit_report(args.output, cfg, eh.escape_time(cfg, kappa=args.kappa, budget=budget))
     return 0
 
 
 def cmd_worst_case(args) -> int:
-    cfg_file = load_config(args.config)
-    cfg = _experiment_config(args, cfg_file, default_init="half_half", default_steps=500)
+    cfg = _experiment_config(args, load_config(args.config), default_init="half_half", default_steps=500)
     report = eh.worst_case_scan(cfg)
+    # one (family, records) block per family, for the CSV only
     blocks = report.pop("records")
-    report["config"] = _config_echo(cfg)
     if args.csv:
         with open(args.csv, "w") as fh:
             for k, (family, records) in enumerate(blocks):
                 eh.write_results_csv(replace(cfg, init=family), records, fh, header=(k == 0))
-    _emit(args.output, json.dumps(report, indent=2) + "\n")
+    _emit_report(args.output, cfg, report)
     return 0
 
 
 def cmd_deviation(args) -> int:
-    cfg_file = load_config(args.config)
-    cfg = _experiment_config(args, cfg_file, default_init="clustered(0.05,0.15)", default_steps=50)
-    report = eh.trajectory_deviation(cfg, t_max=args.t_max)
-    report["config"] = _config_echo(cfg)
-    _emit(args.output, json.dumps(report, indent=2) + "\n")
+    cfg = _experiment_config(
+        args, load_config(args.config), default_init="clustered(0.05,0.15)", default_steps=50
+    )
+    _emit_report(args.output, cfg, eh.trajectory_deviation(cfg, t_max=args.t_max))
     return 0
 
 
@@ -303,7 +310,7 @@ def cmd_goodness(args) -> int:
     orders = [int(tok) for tok in args.l.split(",")] if args.l else [1, 2, 3]
     sizes = [int(tok) for tok in args.sizes.split(",")] if args.sizes else None
     report = cp.goodness_report(g, rule, args.samples, rng, w_orders=orders, p3_sizes=sizes)
-    _emit(args.output, json.dumps(report, indent=2) + "\n")
+    _emit_json(args.output, report)
     return 0
 
 

@@ -39,7 +39,7 @@ __all__ = [
 def _as_mask(nv: int, s) -> np.ndarray:
     # a vertex set is a boolean mask of length nv or integer ids in [0, nv);
     # an empty sequence is the empty set
-    s = np.asarray(s)
+    raw, s = s, np.asarray(s)
     if s.ndim != 1:
         raise ValueError("a vertex set must be 1-d")
     if s.dtype == bool:
@@ -49,8 +49,11 @@ def _as_mask(nv: int, s) -> np.ndarray:
     mask = np.zeros(nv, dtype=bool)
     if not s.size:
         return mask
-    if s.dtype.kind not in "iu":
-        raise ValueError(f"vertex ids must be integers, got {s.dtype}")
+    # a list mixing bools with ints still gives an integer array
+    if s.dtype.kind not in "iu" or (
+        not isinstance(raw, np.ndarray) and not {bool, np.bool_}.isdisjoint(map(type, raw))
+    ):
+        raise ValueError("vertex ids must be integers, not bools, floats or strings")
     if s.min() < 0 or s.max() >= nv:
         raise ValueError(f"vertex ids must lie in [0, {nv})")
     mask[s] = True

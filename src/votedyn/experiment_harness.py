@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 import csv
+import functools
 import hashlib
 import math
 
@@ -41,12 +42,13 @@ __all__ = [
 
 RESULTS_HEADER = "model,n,p,q,r,init,trial,seed,t_cons,timeout,final_opinion,peak_abs_delta2"
 # a fixed cap on worker processes, so which configs are accepted does not
-# depend on the host; a pool never has more workers than task chunks
+# depend on the host; a pool never has more workers than chunks of trials
 MAX_WORKERS = 64
-# a fixed cap on trials per run, checked before any task is built: a run's
-# tasks and records take about 769 B per trial (tracemalloc, 50,000 trials at
-# n = 2), so the cap bounds that bookkeeping at about 77 MB, and it is 2,000
-# times the largest trial count of the acceptance battery (50)
+# a fixed cap on trials per run, checked before any trial runs: a run holds
+# its records and one trial at a time, a tracemalloc peak of about 261 B per
+# trial (50,000 trials at n = 2), so the cap bounds that bookkeeping at about
+# 26 MB, and it is 2,000 times the largest trial count of the acceptance
+# battery (50)
 MAX_TRIALS = 100_000
 
 
@@ -111,14 +113,18 @@ class TrialRecord:
     alphas: list | None = field(default=None, repr=False)
 
 
-def _run_one(task: dict) -> TrialRecord:
-    g = task["graph"]
+def _run_one(cfg: ExperimentConfig, exp_id: str, shared, mode: str, params: dict, trial: int) -> TrialRecord:
+    # a trial's seeds depend only on the config, the experiment id and the
+    # trial index; mode parameters are read by name and never become fields
+    g = shared
     if g is None:
-        g = sbm_graph.generate_sbm(task["n"], task["p"], task["q"], task["graph_seed"])
-    rng = np.random.Generator(np.random.Philox(task["seed"]))
-    s = vc.make_initial(g, task["init"], rng)
-    rule = vc.rule_from_name(task["model"])
-    mode = task["mode"]
+        g = sbm_graph.generate_sbm(
+            cfg.n, cfg.p, cfg.q, derive_seed(cfg.master_seed, exp_id, "graph", trial)
+        )
+    seed = derive_seed(cfg.master_seed, exp_id, trial)
+    rng = np.random.Generator(np.random.Philox(seed))
+    s = vc.make_initial(g, cfg.init, rng)
+    rule = vc.rule_from_name(cfg.model)
     peak = 0.0
     alphas = [] if mode == "deviation" else None
 
@@ -131,17 +137,17 @@ def _run_one(task: dict) -> TrialRecord:
         if alphas is not None:
             alphas.append((a1, a2))
         if mode == "escape":
-            return abs(d2) > task["kappa"]
+            return abs(d2) > params["kappa"]
         if mode == "sink":
-            (c1, c2), epsilon = task["center"], task["epsilon"]
+            (c1, c2), epsilon = params["center"], params["epsilon"]
             return math.hypot(d1 - c1, d2 - c2) > epsilon
         return False
 
-    traj = vc.run_until_consensus(g, s, rule, task["max_steps"], rng, observe=observe)
+    traj = vc.run_until_consensus(g, s, rule, cfg.max_steps, rng, observe=observe)
     stopped_at = traj.steps_run if traj.status == vc.STATUS_STOPPED else None
     return TrialRecord(
-        trial=task["trial"],
-        seed=task["seed"],
+        trial=trial,
+        seed=seed,
         t_cons=traj.t_cons,
         timeout=traj.t_cons is None,
         final_opinion=traj.final_opinion,
@@ -158,8 +164,8 @@ def run_trials(
     mode: str = "consensus",
     mode_params: dict | None = None,
 ) -> list[TrialRecord]:
-    """Execute cfg.trials independent trials of one experiment, sorted by
-    trial index. Worker count never changes the records."""
+    """Execute cfg.trials independent trials of one experiment, in trial
+    order. Worker count never changes the records."""
     if cfg.init is None:
         raise ValueError("no init family configured")
     shared = None
@@ -167,36 +173,17 @@ def run_trials(
         shared = sbm_graph.generate_sbm(
             cfg.n, cfg.p, cfg.q, derive_seed(cfg.master_seed, exp_id, "graph", 0)
         )
-    tasks = []
-    for trial in range(cfg.trials):
-        graph_tag = 0 if cfg.shared_graph else trial
-        task = {
-            "model": cfg.model,
-            "n": cfg.n,
-            "p": cfg.p,
-            "q": cfg.q,
-            "graph": shared,
-            "graph_seed": derive_seed(cfg.master_seed, exp_id, "graph", graph_tag),
-            "seed": derive_seed(cfg.master_seed, exp_id, trial),
-            "init": cfg.init,
-            "trial": trial,
-            "mode": mode,
-            "max_steps": cfg.max_steps,
-        }
-        task.update(mode_params or {})
-        tasks.append(task)
-    if cfg.workers > 1:
-        # imported here, so a run without a pool never loads multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    run_one = functools.partial(_run_one, cfg, exp_id, shared, mode, mode_params or {})
+    if cfg.workers == 1:
+        return [run_one(trial) for trial in range(cfg.trials)]
+    # imported here, so a run without a pool never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
 
-        # one chunk per worker, so a shared graph is pickled once per worker
-        chunk = -(-len(tasks) // cfg.workers)
-        with ProcessPoolExecutor(max_workers=-(-len(tasks) // chunk)) as pool:
-            records = list(pool.map(_run_one, tasks, chunksize=chunk))
-    else:
-        records = [_run_one(t) for t in tasks]
-    records.sort(key=lambda rec: rec.trial)
-    return records
+    # one chunk per worker, so a shared graph is pickled once per worker;
+    # map yields in trial order
+    chunk = -(-cfg.trials // cfg.workers)
+    with ProcessPoolExecutor(max_workers=-(-cfg.trials // chunk)) as pool:
+        return list(pool.map(run_one, range(cfg.trials), chunksize=chunk))
 
 
 def _consensus_stats(records: list[TrialRecord]) -> dict:
@@ -212,15 +199,12 @@ def _consensus_stats(records: list[TrialRecord]) -> dict:
 
 def phase_sweep(cfg: ExperimentConfig, r_grid) -> list[dict]:
     """Consensus statistics per r, at fixed n, p, init, and step budget."""
+    # every r is validated before the first trial runs
+    subs = [replace(cfg, r=float(r)) for r in r_grid]
     out = []
-    for r in r_grid:
-        sub = replace(cfg, r=float(r))
-        exp_id = f"phase:r={float(r):.9g}"
-        records = run_trials(sub, exp_id)
-        stats = _consensus_stats(records)
-        stats["r"] = float(r)
-        stats["records"] = records
-        out.append(stats)
+    for sub in subs:
+        records = run_trials(sub, f"phase:r={sub.r:.9g}")
+        out.append({**_consensus_stats(records), "r": sub.r, "records": records})
     return out
 
 

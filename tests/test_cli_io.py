@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import contextlib
 import csv
 import inspect
@@ -9,6 +10,7 @@ import io
 import json
 import os
 from pathlib import Path
+import shlex
 import signal
 import subprocess
 import sys
@@ -22,7 +24,7 @@ from hypothesis import strategies as st
 
 import votedyn as vd
 from votedyn import experiment_harness
-from votedyn.cli_io import main
+from votedyn.cli_io import build_parser, main
 
 
 def svg_stats(path) -> dict:
@@ -458,6 +460,26 @@ def test_sweep_flags_override_config(tmp_path):
     assert summary["r_grid"] == [0.25]
 
 
+@pytest.mark.parametrize("command", ["deviation", "sweep"])
+def test_unknown_config_keys_are_refused_before_any_trial(tmp_path, monkeypatch, capsys, command):
+    # misspelt "trials" and "max_steps" once ran the default 10 trials of 50
+    # steps and exited 0
+    def no_trials(*_args, **_kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment_harness, "run_trials", no_trials)
+    path = tmp_path / "cfg.json"
+    path.write_text('{"model": "bo3", "n": 30, "p": 0.4, "r": 0.3, "trails": 3, "max_step": 5}')
+    extra = ["--r-grid", "0.3", "-o", str(tmp_path / "out")] if command == "sweep" else []
+    assert main([command, "--config", str(path), *extra]) == 2
+    err = capsys.readouterr().err
+    assert "config.max_step" in err and "config.trails" in err
+    # r_grid is a sweep key only
+    assert main(["deviation", "--config", str(write_config(tmp_path))]) == 2
+    assert "config.r_grid" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 # --- closed-form commands ---
 
 
@@ -576,6 +598,24 @@ def test_goodness_runs_on_tiny_graph(tmp_path):
                  "--seed", "3", "-o", str(out)]) == 0
     doc = json.loads(out.read_text())
     assert doc["n"] == 20
+
+
+# --- README examples ---
+
+
+def test_readme_cli_examples_parse():
+    # every votedyn command of the README's shell blocks, its backslash
+    # continuations joined, parses with the real parser; none is run, and
+    # every subcommand has an example
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = readme.split("```sh\n")[1:]
+    lines = "\n".join(block.split("```")[0] for block in blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines if line.startswith("votedyn ")]
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv[1:]).command == argv[1]
+    subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert {argv[1] for argv in commands} == set(subcommands.choices)
 
 
 # --- argv fuzz ---

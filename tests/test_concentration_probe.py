@@ -102,6 +102,7 @@ def test_w_stat_validation():
         ([[0, 1]], "1-d"),
         (np.zeros((1, 20), dtype=bool), "1-d"),
         (["1"], "must be integers"),
+        ([True, 5], "must be integers"),  # read as vertices 1 and 5
     ],
 )
 def test_vertex_sets_are_masks_or_ids_in_range(bad, match):

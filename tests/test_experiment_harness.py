@@ -14,6 +14,7 @@ import pytest
 import votedyn as vd
 from votedyn import (
     ExperimentConfig,
+    TrialRecord,
     derive_seed,
     escape_time,
     fixed_point_locations,
@@ -140,6 +141,14 @@ def test_run_trials_deterministic_and_exp_id_scoped():
     assert all(rec.trial == i for i, rec in enumerate(a))
 
 
+def test_mode_params_never_become_trial_fields():
+    # a mode parameter named like a trial field once overwrote that field
+    cfg = small_cfg(trials=2, max_steps=20)
+    plain = run_trials(cfg, "exp1", mode="escape", mode_params={"kappa": 0.5})
+    clash = {"kappa": 0.5, "seed": 1, "n": 3, "trial": 9, "max_steps": 0}
+    assert run_trials(cfg, "exp1", mode="escape", mode_params=clash) == plain
+
+
 def test_run_trials_workers_byte_identical():
     cfg = small_cfg()
     assert run_trials(replace(cfg, workers=2), "exp1") == run_trials(cfg, "exp1")
@@ -187,6 +196,30 @@ def test_cli_rejects_trials_above_the_cap_before_any_task(monkeypatch, capsys):
     assert peak < 1 << 20
 
 
+def _transient_bytes(trials: int) -> int:
+    # peak traced memory of one run at n = 2 above what it still holds at
+    # the end, the records it returns
+    cfg = ExperimentConfig(model="bo3", n=2, p=0.5, r=0.5, init="half_half", trials=trials, max_steps=5)
+    tracemalloc.start()
+    try:
+        records = run_trials(cfg, "bookkeeping")
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(records) == trials
+    return peak - kept
+
+
+def test_run_trials_keeps_no_per_trial_bookkeeping():
+    # beyond the records, a run holds one trial's graph and state at a time,
+    # whatever the trial count (about 265 kB at n = 2, mostly the sampler's
+    # first neighbour-array growth step of BUILD_BLOCK entries): 1,500 trials
+    # measured within 3 B per trial of one trial, where per-trial task dicts
+    # held about 523 B per trial more
+    one, many = _transient_bytes(1), _transient_bytes(1_500)
+    assert (many - one) / 1_499 < 16, (one, many)
+
+
 def test_run_trials_shared_graph():
     cfg = small_cfg(shared_graph=True)
     recs = run_trials(cfg, "exp1")
@@ -225,6 +258,19 @@ def test_phase_sweep_rows():
         assert 0.0 <= row["consensus_fraction"] <= 1.0
         assert row["timeouts"] == sum(rec.timeout for rec in row["records"])
         assert len(row["records"]) == 3
+
+
+def test_phase_sweep_checks_every_r_before_any_trial(monkeypatch):
+    calls = []
+
+    def one_record(cfg, exp_id):
+        calls.append(cfg.r)
+        return [TrialRecord(trial=0, seed=0, t_cons=1, timeout=False, final_opinion=1, peak_abs_delta2=0.0)]
+
+    monkeypatch.setattr(experiment_harness, "run_trials", one_record)
+    with pytest.raises(ValueError, match=r"r must lie in \[0,1\]"):
+        phase_sweep(small_cfg(), [0.05, 0.2, 1.5])
+    assert calls == []
 
 
 def test_sink_persistence_below_threshold():
