@@ -328,14 +328,15 @@ def _write_block(keys, lo, hits, starts, row0, col0, s) -> int:
 def _make_room(keys: np.ndarray, new: int, cap: int) -> None:
     # grows keys, a graph's neighbor array while it is built, to hold new
     # entries. It grows in place, by ndarray.resize, a realloc that on Linux
-    # remaps a large array rather than copying it, to a whole number of
-    # BUILD_BLOCK entries: growth by a factor leaves up to that factor of
-    # slack. It never grows past cap entries, and a view of it made before the
-    # call must not be used after it
+    # remaps a large array rather than copying it, to exactly new entries
+    # up to one BUILD_BLOCK and to a whole number of them past it: growth by
+    # a factor leaves up to that factor of slack. It never grows past cap
+    # entries, and a view of it made before the call must not be used after it
     if new > keys.size:
         if new > cap:
             raise ValueError(f"a graph may hold at most {MAX_ENTRIES} directed entries")
-        keys.resize(min(cap, -(-new // BUILD_BLOCK) * BUILD_BLOCK), refcheck=False)
+        size = new if new <= BUILD_BLOCK else -(-new // BUILD_BLOCK) * BUILD_BLOCK
+        keys.resize(min(cap, size), refcheck=False)
 
 
 def _append(keys: np.ndarray, end: int, items: np.ndarray, cap: int) -> int:

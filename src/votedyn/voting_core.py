@@ -1,11 +1,12 @@
 """Sampling voting rules and the synchronous sampling step.
 
-Every rule is a sampling procedure: each vertex draws a few random neighbors
-with replacement and applies a majority criterion (bo2, bo3, best_of_<m>).
-Its law is a pair of polynomials (f1, f2) mapping [0,1] to [0,1]: a vertex v
-currently holding opinion 1 keeps it with probability f1(x) and a vertex
-holding opinion 2 switches with probability f2(x), where x = deg_A(v)/deg(v)
-is the fraction of v's neighbors holding opinion 1. The sampling step follows
+A rule is its name: each vertex draws a few random neighbors with
+replacement and applies a majority criterion (bo2, bo3, best_of_<m>), and
+the name fixes both. Its law follows from that sampling procedure: a pair of
+polynomials (f1, f2) mapping [0,1] to [0,1], where a vertex v currently
+holding opinion 1 keeps it with probability f1(x) and a vertex holding
+opinion 2 switches with probability f2(x), and x = deg_A(v)/deg(v) is the
+fraction of v's neighbors holding opinion 1. The sampling step follows
 that law up to the neighbor draw: the multiply-shift map (w*deg) >> 32 on
 uniform 32-bit words w (Lemire, "Fast random integer generation in an
 interval", ACM TOMACS 2019) hits each neighbor with floor(2^32/deg) or
@@ -62,7 +63,6 @@ __all__ = [
     "write_trajectory_csv",
 ]
 
-RANGE_GRID = 1000  # rule range check resolution at construction
 STATUS_CONSENSUS = "consensus"
 STATUS_TIMEOUT = "timeout"
 STATUS_STOPPED = "stopped"
@@ -93,52 +93,41 @@ _TABLE_X, _TABLE_OWN = _table_layout()
 
 @dataclass(eq=False, frozen=True)
 class VotingRule:
-    """Sampling rule named bo2, bo3 or best_of_<m>, with the polynomials of
-    its law; coefficient lists are ascending in degree.
+    """The sampling rule named bo2, bo3 or best_of_<m>; the name is its only
+    input. draws, the rule's neighbor samples per vertex, is parsed from the
+    name, and the law (f1, f2) follows from the sampling procedure (see
+    _law), so what a rule samples and what its law says cannot disagree; a
+    name with no sampling procedure raises ValueError.
 
-    draws is the rule's neighbor samples per vertex, parsed from name, so a
-    rule that cannot sample cannot be built. A rule is frozen: the
-    coefficients are finite read-only copies with at least 2 entries, and
-    what is derived from them (draws, the Horner coefficients and the
-    probability table) is set once at construction. The read-only table
-    holds the law clipped to [0,1] at x = k/d for every degree d <=
-    PROB_TABLE_DEG and either own opinion, laid out by degree, of the same
-    size whatever the graph. Two rules compare equal only when they are the
-    same object.
+    A rule is frozen and everything on it is set once at construction: the
+    read-only float64 coefficients, ascending in degree, the Horner
+    coefficients and the read-only probability table, which holds the law
+    clipped to [0,1] at x = k/d for every degree d <= PROB_TABLE_DEG and
+    either own opinion, laid out by degree, of the same size whatever the
+    graph. Two rules compare equal only when they are the same object.
     """
 
     name: str
-    f1_coeffs: np.ndarray
-    f2_coeffs: np.ndarray
+    f1_coeffs: np.ndarray = field(default=None, init=False)
+    f2_coeffs: np.ndarray = field(default=None, init=False)
     draws: int = field(default=0, init=False)
-    # Horner coefficients, the law's one evaluator: (f1, f2), or (f,) when the
-    # two polynomials are bit-identical, and _table their clipped laws
+    # Horner coefficients, the law's one evaluator: (f1, f2), or (f,) on a
+    # majority rule, where the two are one polynomial, and _table their
+    # clipped laws
     _horner: tuple = field(default=(), init=False, repr=False)
     _table: np.ndarray = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "draws", _draws(self.name))
-        grid = np.linspace(0.0, 1.0, RANGE_GRID + 1)
-        horner = []
-        for tag in ("f1", "f2"):
-            coeffs = np.array(getattr(self, f"{tag}_coeffs"), dtype=np.float64, ndmin=1)
-            if coeffs.ndim != 1 or coeffs.size < 2:
-                raise ValueError(f"{tag} needs a 1-d list of at least 2 coefficients")
-            # a NaN fails no comparison of the range check below
-            if not np.isfinite(coeffs).all():
-                raise ValueError(f"{tag} needs finite coefficients")
+        m = _draws(self.name)
+        law = tuple(np.array(c, dtype=np.float64) for c in _law(m))
+        for coeffs in law:
             coeffs.setflags(write=False)
-            object.__setattr__(self, f"{tag}_coeffs", coeffs)
-            horner.append(_horner_coeffs(coeffs))
-            vals = _horner(horner[-1], grid)
-            # slack grows with the Horner forward-error bound so that exact
-            # high-degree rules with huge alternating coefficients still pass
-            slack = max(1e-9, 2 * len(coeffs) * np.finfo(np.float64).eps * np.abs(coeffs).sum())
-            if vals.min() < -slack or vals.max() > 1 + slack:
-                raise ValueError(f"{tag} leaves [0,1] on the probability grid")
-        if self.f1_coeffs.tobytes() == self.f2_coeffs.tobytes():
-            del horner[1]
-        object.__setattr__(self, "_horner", tuple(horner))
+        # Python floats, highest degree first
+        horner = tuple(tuple(c[::-1].tolist()) for c in law)
+        object.__setattr__(self, "draws", m)
+        object.__setattr__(self, "f1_coeffs", law[0])
+        object.__setattr__(self, "f2_coeffs", law[-1])
+        object.__setattr__(self, "_horner", horner)
         object.__setattr__(self, "_table", _law_table(horner))
 
     @property
@@ -154,9 +143,21 @@ class VotingRule:
         return _horner(self._horner[-1], x)
 
 
-def _horner_coeffs(coeffs: np.ndarray) -> tuple:
-    """Python floats, highest degree first."""
-    return tuple(coeffs[::-1].tolist())
+def _law(m: int) -> tuple[list[int], ...]:
+    """The integer monomial coefficients, ascending in degree, of the law of
+    the rule that draws m neighbor samples with replacement: (f1, f2), or
+    (f,) when f1 = f2 = f. bo2 adopts its samples' opinion iff they agree,
+    else keeps its own: retention f1(x) = 1-(1-x)^2 = 2x-x^2 and adoption
+    f2(x) = x^2. Every odd m takes the majority of its samples, f(x) =
+    Pr[Bin(m, x) > m/2], expanded with exact integer arithmetic."""
+    if m == 2:
+        return [0, 2, -1], [0, 0, 1]
+    coeffs = [0] * (m + 1)
+    for i in range(m // 2 + 1, m + 1):
+        c = math.comb(m, i)
+        for j in range(m - i + 1):
+            coeffs[i + j] += c * math.comb(m - i, j) * (-1) ** j
+    return (coeffs,)
 
 
 def _law_table(horner: tuple) -> np.ndarray:
@@ -185,34 +186,20 @@ def _horner(coeffs: tuple, x):
 
 def make_rule_bo3() -> VotingRule:
     """Majority of three neighbor samples (with replacement): f(x)=3x^2-2x^3."""
-    c = np.array([0.0, 0.0, 3.0, -2.0])
-    return VotingRule(name="bo3", f1_coeffs=c, f2_coeffs=c.copy())
+    return VotingRule("bo3")
 
 
 def make_rule_bo2() -> VotingRule:
     """Sample two neighbors with replacement; adopt their opinion iff they
-    agree, else keep your own. Retention gives f1(x)=1-(1-x)^2=2x-x^2 and
-    adoption gives f2(x)=x^2."""
-    return VotingRule(
-        name="bo2",
-        f1_coeffs=np.array([0.0, 2.0, -1.0]),
-        f2_coeffs=np.array([0.0, 0.0, 1.0]),
-    )
+    agree, else keep your own."""
+    return VotingRule("bo2")
 
 
 def make_rule_best_of(k: int) -> VotingRule:
-    """Majority among 2k+1 neighbor samples: f(x) = Pr[Bin(2k+1, x) >= k+1],
-    expanded to monomial coefficients with exact integer arithmetic."""
+    """Majority among 2k+1 neighbor samples: f(x) = Pr[Bin(2k+1, x) >= k+1]."""
     if k < 1 or 2 * k + 1 > 25:
         raise ValueError("k must satisfy 1 <= k and 2k+1 <= 25")
-    m = 2 * k + 1
-    coeffs = [0] * (m + 1)
-    for i in range(k + 1, m + 1):
-        c = math.comb(m, i)
-        for j in range(m - i + 1):
-            coeffs[i + j] += c * math.comb(m - i, j) * (-1) ** j
-    arr = np.array(coeffs, dtype=np.float64)
-    return VotingRule(name=f"best_of_{m}", f1_coeffs=arr, f2_coeffs=arr.copy())
+    return VotingRule(f"best_of_{2 * k + 1}")
 
 
 # the one spelling of each best_of_<m>: no leading zeros, no non-ASCII digits
@@ -232,12 +219,7 @@ def _draws(name: str) -> int:
 
 def rule_from_name(name: str) -> VotingRule:
     """The sampling rule named bo3, bo2, or best_of_<m>."""
-    m = _draws(name)
-    if name == "bo3":
-        return make_rule_bo3()
-    if name == "bo2":
-        return make_rule_bo2()
-    return make_rule_best_of((m - 1) // 2)
+    return VotingRule(name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,17 +453,39 @@ def run_until_consensus(
         t += 1
 
 
+# each initial-condition family's parameter count, and whether its
+# parameters are exact integer counts
+_INIT_KINDS = {
+    "biased_global": (1, False),
+    "half_half": (0, False),
+    "clustered": (2, False),
+    "exact_counts": (2, True),
+    "random_density": (1, False),
+}
+
+
 @dataclass(frozen=True)
 class InitFamily:
-    """Named initial-condition family with finite numeric parameters."""
+    """Named initial-condition family with as many finite numeric parameters
+    as _INIT_KINDS gives its kind; an integral count is stored as an int, a
+    fractional one is rejected, not rounded. Any other raises ValueError."""
 
     kind: str
     params: tuple = ()
 
     def __post_init__(self):
+        if self.kind not in _INIT_KINDS:
+            raise ValueError(f"unknown init family: {self.kind!r}")
+        arity, counts = _INIT_KINDS[self.kind]
+        if len(self.params) != arity:
+            raise ValueError(f"{self.kind} expects {arity} parameter(s)")
         # chained comparisons: math.isfinite overflows on a huge int
         if not all(-math.inf < x < math.inf for x in self.params):
             raise ValueError(f"init family {self} needs finite parameters")
+        if counts:
+            if not all(isinstance(c, (int, np.integer)) or float(c).is_integer() for c in self.params):
+                raise ValueError(f"{self.kind} needs integer counts, got {self.params}")
+            object.__setattr__(self, "params", tuple(map(int, self.params)))
 
     def __str__(self):
         if not self.params:
@@ -508,9 +512,7 @@ def clustered(d1: float, d2: float) -> InitFamily:
 
 def exact_counts(c1: int, c2: int) -> InitFamily:
     """Exact per-community counts; a fractional count is rejected, not rounded."""
-    if not all(isinstance(c, (int, np.integer)) or float(c).is_integer() for c in (c1, c2)):
-        raise ValueError(f"exact_counts needs integer counts, got ({c1}, {c2})")
-    return InitFamily("exact_counts", (int(c1), int(c2)))
+    return InitFamily("exact_counts", (c1, c2))
 
 
 def random_density(rho: float) -> InitFamily:
@@ -528,14 +530,8 @@ def parse_init_family(text: str) -> InitFamily:
             raise ValueError(f"malformed init family: {text!r}")
         kind, inner = text[:-1].split("(", 1)
         tokens = [tok for tok in inner.split(",") if tok.strip()]
-    known = {"biased_global": 1, "half_half": 0, "clustered": 2, "exact_counts": 2, "random_density": 1}
-    if kind not in known:
-        raise ValueError(f"unknown init family: {kind!r}")
-    if len(tokens) != known[kind]:
-        raise ValueError(f"{kind} expects {known[kind]} parameter(s)")
-    if kind == "exact_counts":
-        return exact_counts(*map(_count, tokens))
-    return InitFamily(kind, tuple(map(float, tokens)))
+    counts = _INIT_KINDS.get(kind, (0, False))[1]
+    return InitFamily(kind, tuple(map(_count if counts else float, tokens)))
 
 
 def _count(token: str) -> int | float:
@@ -567,10 +563,8 @@ def make_initial(g: Graph, family: InitFamily, rng: np.random.Generator) -> Opin
             a1 = a2 = (1 + family.params[0]) / 2
         elif family.kind == "half_half":
             a1 = a2 = 0.5
-        elif family.kind == "clustered":
-            a1, a2 = to_alpha(*family.params)
         else:
-            raise ValueError(f"unknown init family: {family.kind!r}")
+            a1, a2 = to_alpha(*family.params)
         # a huge finite parameter takes n*a to inf, which round() refuses
         c1, c2 = (round(x) if math.isfinite(x) else x for x in (n * a1, n * a2))
 

@@ -5,11 +5,14 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import importlib
 import inspect
 import io
 import json
 import os
 from pathlib import Path
+import pkgutil
+import re
 import shlex
 import signal
 import subprocess
@@ -616,6 +619,29 @@ def test_readme_cli_examples_parse():
         assert parser.parse_args(argv[1:]).command == argv[1]
     subcommands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     assert {argv[1] for argv in commands} == set(subcommands.choices)
+
+
+def test_readme_references_resolve():
+    # every backticked dotted name of the README outside its code blocks
+    # whose first part is votedyn or one of its modules, such as
+    # `sbm_graph.MAX_N` or `votedyn.voting_core`, imports and resolves, so a
+    # deleted or renamed name cannot stay documented
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    spans = re.findall(r"`([^`]+)`", re.sub(r"```.*?```", "", readme, flags=re.S))
+    modules = {m.name for m in pkgutil.iter_modules(vd.__path__)}
+    checked = set()
+    for span in spans:
+        ref = re.match(r"[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)
+        parts = ref.group().split(".") if ref else []
+        if parts[:1] == ["votedyn"]:
+            parts = parts[1:]
+        if parts[:1] and parts[0] in modules:
+            obj = importlib.import_module(f"votedyn.{parts[0]}")
+            for attr in parts[1:]:
+                assert hasattr(obj, attr), ref.group()
+                obj = getattr(obj, attr)
+            checked.add(ref.group())
+    assert {"votedyn.voting_core", "sbm_graph.MAX_N", "experiment_harness.MAX_WORKERS"} <= checked
 
 
 # --- argv fuzz ---

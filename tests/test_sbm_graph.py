@@ -305,6 +305,21 @@ def test_both_key_widths_build_the_same_csr(n, width):
         assert np.array_equal(built.neighbors, dst[order])
 
 
+def test_a_small_build_allocates_what_it_holds():
+    # a neighbor array below one BUILD_BLOCK grows to exactly its size: the
+    # 4-vertex graph holds 8 B of neighbors, and its first growth used to
+    # take a whole block, a 264,721 B peak
+    generate_sbm(2, 0.5, 0.5, seed=3)
+    tracemalloc.start()
+    try:
+        g = generate_sbm(2, 0.5, 0.5, seed=3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g.neighbors.nbytes == 8
+    assert peak < 16_384, peak
+
+
 def test_graph_size_caps_hold_before_anything_is_allocated(monkeypatch):
     # n and the directed entries have caps that do not depend on the host:
     # an oversized n, or an expected entry count past the cap, fails before

@@ -87,20 +87,39 @@ def test_best_of_frozen_values():
 
 
 def test_rule_range_validation():
-    with pytest.raises(ValueError, match="f1 leaves"):
-        vd.VotingRule("bo3", [0.0, 2.0], [0.0, 1.0])  # f1(1)=2
-    with pytest.raises(ValueError, match="f2 leaves"):
-        vd.VotingRule("bo3", [0.0, 1.0], [-0.5, 1.0])  # f2(0)<0
-    # NaN fails every comparison of the range check, and inf - inf is NaN
-    with pytest.raises(ValueError, match="f1 needs finite coefficients"):
-        vd.VotingRule("bo3", [math.nan, 1.0], [0.0, 1.0])
-    with pytest.raises(ValueError, match="f2 needs finite coefficients"):
-        vd.VotingRule("bo3", [0.0, 1.0], [0.0, math.inf, -math.inf])
-    ok = vd.VotingRule("bo3", [0.0, 1.0], [0.0, 1.0])
-    assert np.array_equal(ok.f1_coeffs, ok.f2_coeffs)
+    # a rule's only input is its name: its law follows from its sampling
+    # procedure, so no coefficients can be passed to disagree with it
+    with pytest.raises(TypeError):
+        vd.VotingRule("bo3", [0, 1], [0, 1])
     # every rule samples: a name without a sampling step cannot be built
     with pytest.raises(ValueError, match="unknown rule name"):
-        vd.VotingRule("id", [0.0, 1.0], [0.0, 1.0])
+        vd.VotingRule("id")
+
+
+_RULE_NAMES = ["bo2", "bo3"] + [f"best_of_{m}" for m in range(3, 26, 2)]
+
+
+def _sampled_law(name, x):
+    # (retention, adoption) of a vertex drawing m neighbors with replacement,
+    # each holding opinion 1 with probability x, summed exactly over the
+    # number i of samples holding opinion 1: bo2 keeps its own opinion unless
+    # both samples oppose it, every other rule takes the strict majority
+    m = 2 if name == "bo2" else int(name.removeprefix("bo").removeprefix("best_of_"))
+    terms = [math.comb(m, i) * x**i * (1 - x) ** (m - i) for i in range(m + 1)]
+    if m == 2:
+        return terms[1] + terms[2], terms[2]
+    tail = sum(terms[m // 2 + 1 :])
+    return tail, tail
+
+
+@pytest.mark.parametrize("name", _RULE_NAMES)
+def test_every_rule_law_matches_its_sampling_procedure(name):
+    rule = vd.VotingRule(name)
+    for d in range(1, 7):
+        for k in range(d + 1):
+            retain, adopt = _sampled_law(name, Fraction(k, d))
+            assert abs(rule.f1(k / d) - retain) < 1e-8, (name, k, d)
+            assert abs(rule.f2(k / d) - adopt) < 1e-8, (name, k, d)
 
 
 # --- states and coordinates ---
@@ -588,11 +607,9 @@ def test_step_sampling_matches_reference_bit_for_bit():
 
 def test_rule_coefficients_are_fixed_at_construction():
     rule = make_rule_bo2()
-    with pytest.raises(ValueError):
-        rule.f1_coeffs[0] = 0.5  # read-only
-    for f1 in ([], [[0.5, 0.5]], [0.5], 0.5):  # empty, nested, one coefficient, scalar
-        with pytest.raises(ValueError, match="at least 2 coefficients"):
-            vd.VotingRule("bo3", f1, [0.0, 1.0])
+    for coeffs in (rule.f1_coeffs, rule.f2_coeffs):
+        with pytest.raises(ValueError):
+            coeffs[0] = 0.5  # read-only
 
 
 def test_rule_fields_cannot_be_reassigned():
@@ -846,6 +863,24 @@ def test_library_init_families_reject_non_finite_parameters():
     # integral floats and numpy integers are exact counts
     assert vd.exact_counts(2.0, np.int64(3)) == vd.exact_counts(2, 3)
     assert make_initial(g, vd.exact_counts(2.0, 3), rng).count1 == 2
+
+
+def test_init_families_are_checked_at_construction():
+    # each used to fail late or be coerced: clustered with one parameter
+    # raised TypeError inside make_initial, random_density with none
+    # IndexError, exact_counts(1.5, 2) ran as (1, 2), and half_half ignored
+    # its parameter
+    g = generate_sbm(5, 0.5, 0.1, seed=1)
+    for kind, params, match in [
+        ("clustered", (0.1,), "clustered expects 2 parameter"),
+        ("random_density", (), "random_density expects 1 parameter"),
+        ("exact_counts", (1.5, 2), "integer counts"),
+        ("half_half", (3.0,), "half_half expects 0 parameter"),
+        ("uniform", (), "unknown init family"),
+    ]:
+        with pytest.raises(ValueError, match=match):
+            make_initial(g, vd.InitFamily(kind, params), np.random.default_rng(0))
+    assert vd.InitFamily("exact_counts", (2.0, np.int64(3))).params == (2, 3)
 
 
 @given(st.integers(1, 2000), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
