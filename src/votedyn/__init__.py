@@ -25,9 +25,7 @@ from .voting_core import (
     make_rule_bo3,
     make_rule_bo2,
     make_rule_best_of,
-    rule_from_name,
     state_from_member,
-    fractions,
     to_delta,
     to_alpha,
     step_sampling,
@@ -44,7 +42,6 @@ from .voting_core import (
 )
 from .induced_dynamics import (
     InducedMap,
-    induced_map,
     u_of_r,
     r_of_u,
     iterate,

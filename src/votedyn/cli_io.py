@@ -98,6 +98,18 @@ def _merged(args, cfg: dict, key: str, kind, default=None, required=False):
     return default
 
 
+# the config field each experiment driver sets itself, and what sets it: a
+# flag or config key for it would be ignored, yet echoed as if it had
+# governed the run, so it is refused
+_DRIVER_SETS = {
+    "sweep": ("r", "--r-grid or config.r_grid sets r"),
+    "sink-persist": ("init", "every trial starts at the axis sink"),
+    "escape": ("max_steps", "--budget or --budget-c sets the step budget"),
+    "worst-case": ("init", "the scan runs every adversarial family"),
+    "deviation": ("max_steps", "--t-max sets the step count"),
+}
+
+
 def _experiment_config(
     args,
     cfg: dict,
@@ -113,7 +125,7 @@ def _experiment_config(
     seed = _merged(args, cfg, "seed", int)
     if seed is None and "master_seed" in cfg:
         seed = _merged(args, cfg, "master_seed", int)
-    return eh.ExperimentConfig(
+    config = eh.ExperimentConfig(
         model=_merged(args, cfg, "model", str, required=True),
         n=_merged(args, cfg, "n", int, required=True),
         p=_merged(args, cfg, "p", float, required=True),
@@ -125,6 +137,13 @@ def _experiment_config(
         shared_graph=_merged(args, cfg, "shared_graph", bool, False),
         workers=_merged(args, cfg, "workers", int, 1),
     )
+    # checked after the values themselves, so a bad value is reported as such
+    key, why = _DRIVER_SETS[args.command]
+    flag = getattr(args, key) is not None
+    if flag or key in cfg:
+        named = f"--{key.replace('_', '-')}" if flag else f"config.{key}"
+        raise ValueError(f"{named}: {args.command} ignores it; {why}")
+    return config
 
 
 # ---------------------------------------------------------------- subcommands
@@ -145,15 +164,16 @@ def cmd_generate(args) -> int:
 
 def _graph_from_args(args, master_seed: int) -> sbm_graph.Graph:
     if args.graph:
+        keys = ("n", "p", "q", "r", "graph_seed")
+        inline = [f"--{key.replace('_', '-')}" for key in keys if getattr(args, key) is not None]
+        if inline:
+            raise ValueError(f"{', '.join(inline)}: ignored with --graph, which fixes the graph")
         return sbm_graph.load_graph(args.graph)
     if args.n is None or args.p is None:
         raise ValueError("need --graph or inline --n/--p parameters")
-    if args.q is not None:
-        q = args.q
-    elif args.r is not None:
-        q = args.r * args.p
-    else:
-        raise ValueError("need --q or --r with inline graph parameters")
+    if (args.q is None) == (args.r is None):
+        raise ValueError("give exactly one of --q or --r with inline graph parameters")
+    q = args.r * args.p if args.q is None else args.q
     graph_seed = args.graph_seed if args.graph_seed is not None else master_seed
     return sbm_graph.generate_sbm(args.n, args.p, q, graph_seed)
 
@@ -161,7 +181,7 @@ def _graph_from_args(args, master_seed: int) -> sbm_graph.Graph:
 def cmd_simulate(args) -> int:
     seed = resolve_seed(args.seed)
     g = _graph_from_args(args, seed)
-    rule = vc.rule_from_name(args.model)
+    rule = vc.VotingRule(args.model)
     family = vc.parse_init_family(args.init)
     rng = np.random.Generator(np.random.Philox(seed))
     s0 = vc.make_initial(g, family, rng)
@@ -305,7 +325,7 @@ def cmd_deviation(args) -> int:
 def cmd_goodness(args) -> int:
     seed = resolve_seed(args.seed)
     g = _graph_from_args(args, seed)
-    rule = vc.rule_from_name(args.rule)
+    rule = vc.VotingRule(args.rule)
     rng = np.random.Generator(np.random.Philox(eh.derive_seed(seed, "goodness")))
     orders = [int(tok) for tok in args.l.split(",")] if args.l else [1, 2, 3]
     sizes = [int(tok) for tok in args.sizes.split(",")] if args.sizes else None
@@ -330,15 +350,16 @@ def render_vector_field(model: str, r: float, grid_step: float, space: str) -> s
     # np.arange's point count is the ceiling of this ratio
     if (1.0 + grid_step / 2.0) / grid_step > MAX_GRID_AXIS:
         raise ValueError(f"grid step {grid_step:g} gives more than {MAX_GRID_AXIS} points per axis")
-    m = idyn.induced_map(vc.rule_from_name(model), r, space=space)
+    m = idyn.InducedMap(vc.VotingRule(model), r)
     axis = np.arange(0.0, 1.0 + grid_step / 2.0, grid_step)
     g1, g2 = np.meshgrid(axis, axis)
     if space == "delta":
         keep = g1 + g2 <= 1.0 + 1e-9
         xs, ys = g1[keep], g2[keep]
+        fx, fy = m.delta((xs, ys))
     else:
         xs, ys = g1.ravel(), g2.ravel()
-    fx, fy = m.eval((xs, ys))
+        fx, fy = m.alpha((xs, ys))
     dx, dy = fx - xs, fy - ys
     length = np.hypot(dx, dy)
     max_len = float(length.max())

@@ -81,13 +81,15 @@ class ExperimentConfig:
             raise ValueError("r must lie in [0,1]")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0,1]")
+        for name in ("n", "trials", "max_steps", "workers"):
+            sbm_graph._require_int(name, getattr(self, name))
         if self.n < 1 or self.max_steps < 0:
             raise ValueError("n >= 1; max_steps >= 0")
         if not 1 <= self.trials <= MAX_TRIALS:
             raise ValueError(f"trials must lie in [1, {MAX_TRIALS}], got {self.trials}")
         if not 1 <= self.workers <= MAX_WORKERS:
             raise ValueError(f"workers must lie in [1, {MAX_WORKERS}], got {self.workers}")
-        vc.rule_from_name(self.model)  # validates the name
+        vc.VotingRule(self.model)  # validates the name
         if isinstance(self.init, str):
             object.__setattr__(self, "init", vc.parse_init_family(self.init))
 
@@ -124,7 +126,7 @@ def _run_one(cfg: ExperimentConfig, exp_id: str, shared, mode: str, params: dict
     seed = derive_seed(cfg.master_seed, exp_id, trial)
     rng = np.random.Generator(np.random.Philox(seed))
     s = vc.make_initial(g, cfg.init, rng)
-    rule = vc.rule_from_name(cfg.model)
+    rule = vc.VotingRule(cfg.model)
     peak = 0.0
     alphas = [] if mode == "deviation" else None
 
@@ -254,10 +256,10 @@ def trajectory_deviation(cfg: ExperimentConfig, t_max: int) -> dict:
         raise ValueError("t_max must lie in [0, 50]")
     exp_id = f"deviation:t={t_max}"
     records = run_trials(replace(cfg, max_steps=t_max), exp_id, mode="deviation")
-    m = idyn.induced_map(vc.rule_from_name(cfg.model), cfg.r, space="alpha")
+    m = idyn.InducedMap(vc.VotingRule(cfg.model), cfg.r)
     per_step = np.zeros((len(records), t_max + 1))
     for k, rec in enumerate(records):
-        orbit = idyn.iterate(m, rec.alphas[0], t_max)
+        orbit = idyn.iterate(m.alpha, rec.alphas[0], t_max)
         for t, (a1, a2) in enumerate(rec.alphas):
             per_step[k, t] = max(abs(a1 - orbit[t, 0]), abs(a2 - orbit[t, 1]))
     bound = 1.0 / math.sqrt(cfg.n * cfg.p) + math.sqrt(math.log(cfg.n) / cfg.n)

@@ -33,8 +33,6 @@ __all__ = [
     "CLASS_SADDLE",
     "CLASS_SOURCE",
     "CLASS_MARGINAL",
-    "fixed_points_bo3",
-    "fixed_points_bo2",
     "fixed_point_locations",
     "jacobian_analytic",
     "eigen_2x2",
@@ -78,7 +76,7 @@ def _sqrt_clamped(x: float) -> float:
     return math.sqrt(max(x, 0.0))
 
 
-def fixed_points_bo3(u: float) -> dict[str, tuple[float, float]]:
+def _fixed_points_bo3(u: float) -> dict[str, tuple[float, float]]:
     """Existing fixed points of the bo3 delta map, id -> (d1, d2).
 
     The consensus points (0,0) and (0,1) always exist; the axis point needs
@@ -98,7 +96,7 @@ def fixed_points_bo3(u: float) -> dict[str, tuple[float, float]]:
     return pts
 
 
-def fixed_points_bo2(u: float) -> dict[str, tuple[float, float]]:
+def _fixed_points_bo2(u: float) -> dict[str, tuple[float, float]]:
     """Existing fixed points of the bo2 delta map, id -> (d1, d2).
 
     The axis point needs u >= 1/2 and the interior point u >= (sqrt(5)-1)/2.
@@ -147,9 +145,9 @@ class _ClosedForm:
 
 
 _CLOSED_FORMS = {
-    "bo3": _ClosedForm(fixed_points_bo3, _jac_bo3, 0.75, 1.0 / 7.0, (2.0 / 3.0, 1.0)),
+    "bo3": _ClosedForm(_fixed_points_bo3, _jac_bo3, 0.75, 1.0 / 7.0, (2.0 / 3.0, 1.0)),
     "bo2": _ClosedForm(
-        fixed_points_bo2, _jac_bo2, (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(5.0) - 2.0, (0.5, 1.0)
+        _fixed_points_bo2, _jac_bo2, (math.sqrt(5.0) - 1.0) / 2.0, math.sqrt(5.0) - 2.0, (0.5, 1.0)
     ),
 }
 MODELS = tuple(_CLOSED_FORMS)
@@ -266,7 +264,7 @@ def analyze(model: str, u: float) -> list[FixedPointReport]:
     """Full per-fixed-point report at a given u: location, general-form
     Jacobian, eigenvalues, singular values, class, and map residual."""
     locs = fixed_point_locations(model, u)
-    m = idyn.induced_map(vc.rule_from_name(model), idyn.r_of_u(u))
+    m = idyn.InducedMap(vc.VotingRule(model), idyn.r_of_u(u))
     reports = []
     for fp_id in FP_IDS:
         if fp_id not in locs:
@@ -274,7 +272,7 @@ def analyze(model: str, u: float) -> list[FixedPointReport]:
             continue
         loc = locs[fp_id]
         jac = jacobian_analytic(model, u, loc)
-        image = m.eval(loc)
+        image = m.delta(loc)
         reports.append(
             FixedPointReport(
                 id=fp_id,

@@ -8,8 +8,9 @@ the expected dynamics is
 
 where r = q/p. The analysis coordinates are (d1, d2) = (a1 - a2, a1 + a2 - 1)
 with u = (1 - r)/(1 + r); the conjugated map T has cubic closed forms for the
-bo3 and bo2 rules. eval_T_generic always goes through the alpha-space route;
-the tests' stdlib oracles hold the closed forms that cross-check it.
+bo3 and bo2 rules. InducedMap.alpha steps H, and InducedMap.delta steps T
+always by conjugating H; the tests' stdlib oracles hold the closed forms
+that cross-check it.
 
 The triangle S = {d1, d2 >= 0, d1 + d2 <= 1} is forward-invariant for both
 built-in rules.
@@ -25,11 +26,8 @@ from .voting_core import VotingRule, to_alpha, to_delta
 
 __all__ = [
     "InducedMap",
-    "induced_map",
     "u_of_r",
     "r_of_u",
-    "eval_H",
-    "eval_T_generic",
     "iterate",
 ]
 
@@ -48,51 +46,45 @@ def r_of_u(u: float) -> float:
 
 @dataclass(frozen=True)
 class InducedMap:
-    """Deterministic one-step expectation map for a rule at cross ratio r.
-
-    space selects the coordinates eval works in ("alpha" or "delta").
-    """
+    """Deterministic one-step expectation map for a rule at cross ratio r in
+    [0,1]: alpha steps it in alpha coordinates, delta in delta coordinates.
+    Both accept scalars or matching arrays."""
 
     rule: VotingRule
     r: float
-    u: float
-    space: str
 
-    def eval(self, x):
-        return eval_H(self, x) if self.space == "alpha" else eval_T_generic(self, x)
+    def __post_init__(self):
+        u_of_r(self.r)
 
+    @property
+    def u(self) -> float:
+        return u_of_r(self.r)
 
-def induced_map(rule: VotingRule, r: float, space: str = "delta") -> InducedMap:
-    if space not in ("alpha", "delta"):
-        raise ValueError("space must be 'alpha' or 'delta'")
-    return InducedMap(rule=rule, r=r, u=u_of_r(r), space=space)
+    def alpha(self, a):
+        """One step in alpha coordinates."""
+        a1 = np.asarray(a[0], dtype=np.float64)
+        a2 = np.asarray(a[1], dtype=np.float64)
+        z1 = (a1 + self.r * a2) / (1.0 + self.r)
+        z2 = (a2 + self.r * a1) / (1.0 + self.r)
+        h1 = a1 * self.rule.f1(z1) + (1.0 - a1) * self.rule.f2(z1)
+        h2 = a2 * self.rule.f1(z2) + (1.0 - a2) * self.rule.f2(z2)
+        if h1.ndim == 0:
+            return float(h1), float(h2)
+        return h1, h2
 
-
-def eval_H(m: InducedMap, a):
-    """One step in alpha coordinates; accepts scalars or matching arrays."""
-    a1 = np.asarray(a[0], dtype=np.float64)
-    a2 = np.asarray(a[1], dtype=np.float64)
-    z1 = (a1 + m.r * a2) / (1.0 + m.r)
-    z2 = (a2 + m.r * a1) / (1.0 + m.r)
-    h1 = a1 * m.rule.f1(z1) + (1.0 - a1) * m.rule.f2(z1)
-    h2 = a2 * m.rule.f1(z2) + (1.0 - a2) * m.rule.f2(z2)
-    if h1.ndim == 0:
-        return float(h1), float(h2)
-    return h1, h2
-
-
-def eval_T_generic(m: InducedMap, d):
-    """Delta-space step through the alpha-space route, for any rule."""
-    a = to_alpha(np.asarray(d[0], dtype=np.float64), np.asarray(d[1], dtype=np.float64))
-    return to_delta(*eval_H(m, a))
+    def delta(self, d):
+        """One step in delta coordinates, by conjugating the alpha step."""
+        a = to_alpha(np.asarray(d[0], dtype=np.float64), np.asarray(d[1], dtype=np.float64))
+        return to_delta(*self.alpha(a))
 
 
-def iterate(m: InducedMap, x0, t: int) -> np.ndarray:
-    """Orbit of x0 under m as a (t+1, 2) array: row k is the k-th image."""
+def iterate(step, x0, t: int) -> np.ndarray:
+    """Orbit of x0 under a step function such as InducedMap.alpha, as a
+    (t+1, 2) array: row k is the k-th image."""
     if t < 0:
         raise ValueError("t must be >= 0")
     pts = np.empty((t + 1, 2), dtype=np.float64)
     pts[0] = (x0[0], x0[1])
     for k in range(t):
-        pts[k + 1] = m.eval(pts[k])
+        pts[k + 1] = step(pts[k])
     return pts

@@ -1,9 +1,10 @@
 """Sampling voting rules and the synchronous sampling step.
 
-A rule is its name: each vertex draws a few random neighbors with
-replacement and applies a majority criterion (bo2, bo3, best_of_<m>), and
-the name fixes both. Its law follows from that sampling procedure: a pair of
-polynomials (f1, f2) mapping [0,1] to [0,1], where a vertex v currently
+A rule is its name, and VotingRule(name) builds it: each vertex draws a few
+random neighbors with replacement and applies a majority criterion (bo2,
+bo3, best_of_<m>), and the name fixes both. Its law follows from that
+sampling procedure, held as Horner coefficients: a pair of polynomials
+(f1, f2) mapping [0,1] to [0,1], where a vertex v currently
 holding opinion 1 keeps it with probability f1(x) and a vertex holding
 opinion 2 switches with probability f2(x), and x = deg_A(v)/deg(v) is the
 fraction of v's neighbors holding opinion 1. The sampling step follows
@@ -38,6 +39,9 @@ from . import sbm_graph
 from .sbm_graph import Graph
 
 __all__ = [
+    "STATUS_CONSENSUS",
+    "STATUS_TIMEOUT",
+    "STATUS_STOPPED",
     "VotingRule",
     "OpinionState",
     "Trajectory",
@@ -45,9 +49,7 @@ __all__ = [
     "make_rule_bo3",
     "make_rule_bo2",
     "make_rule_best_of",
-    "rule_from_name",
     "state_from_member",
-    "fractions",
     "to_delta",
     "to_alpha",
     "step_probabilities",
@@ -93,23 +95,22 @@ _TABLE_X, _TABLE_OWN = _table_layout()
 
 @dataclass(eq=False, frozen=True)
 class VotingRule:
-    """The sampling rule named bo2, bo3 or best_of_<m>; the name is its only
-    input. draws, the rule's neighbor samples per vertex, is parsed from the
-    name, and the law (f1, f2) follows from the sampling procedure (see
-    _law), so what a rule samples and what its law says cannot disagree; a
-    name with no sampling procedure raises ValueError.
+    """The sampling rule named bo2, bo3 or best_of_<m>, built by
+    VotingRule(name); the name is its only input. draws, the rule's neighbor
+    samples per vertex, is parsed from the name, and the law (f1, f2)
+    follows from the sampling procedure (see _law), so what a rule samples
+    and what its law says cannot disagree; a name with no sampling procedure
+    raises ValueError.
 
     A rule is frozen and everything on it is set once at construction: the
-    read-only float64 coefficients, ascending in degree, the Horner
-    coefficients and the read-only probability table, which holds the law
-    clipped to [0,1] at x = k/d for every degree d <= PROB_TABLE_DEG and
-    either own opinion, laid out by degree, of the same size whatever the
-    graph. Two rules compare equal only when they are the same object.
+    law's one representation, its Horner coefficients, and the read-only
+    probability table, which holds the law clipped to [0,1] at x = k/d for
+    every degree d <= PROB_TABLE_DEG and either own opinion, laid out by
+    degree, of the same size whatever the graph. Two rules compare equal
+    only when they are the same object.
     """
 
     name: str
-    f1_coeffs: np.ndarray = field(default=None, init=False)
-    f2_coeffs: np.ndarray = field(default=None, init=False)
     draws: int = field(default=0, init=False)
     # Horner coefficients, the law's one evaluator: (f1, f2), or (f,) on a
     # majority rule, where the two are one polynomial, and _table their
@@ -119,14 +120,9 @@ class VotingRule:
 
     def __post_init__(self):
         m = _draws(self.name)
-        law = tuple(np.array(c, dtype=np.float64) for c in _law(m))
-        for coeffs in law:
-            coeffs.setflags(write=False)
         # Python floats, highest degree first
-        horner = tuple(tuple(c[::-1].tolist()) for c in law)
+        horner = tuple(tuple(map(float, reversed(c))) for c in _law(m))
         object.__setattr__(self, "draws", m)
-        object.__setattr__(self, "f1_coeffs", law[0])
-        object.__setattr__(self, "f2_coeffs", law[-1])
         object.__setattr__(self, "_horner", horner)
         object.__setattr__(self, "_table", _law_table(horner))
 
@@ -217,11 +213,6 @@ def _draws(name: str) -> int:
     raise ValueError(f"unknown rule name: {name!r} (bo2, bo3, or best_of_<m> with odd m from 3 to 25)")
 
 
-def rule_from_name(name: str) -> VotingRule:
-    """The sampling rule named bo3, bo2, or best_of_<m>."""
-    return VotingRule(name)
-
-
 @dataclass(frozen=True, eq=False)
 class OpinionState:
     """Vertices holding opinion 1 as a read-only boolean mask. A state is
@@ -279,10 +270,6 @@ def _own_state(member: np.ndarray) -> OpinionState:
     # holds, made read-only in place without a copy
     member.setflags(write=False)
     return OpinionState(member)
-
-
-def fractions(s: OpinionState) -> tuple[float, float]:
-    return s.count1 / s.n, s.count2 / s.n
 
 
 def to_delta(a1: float, a2: float) -> tuple[float, float]:
@@ -433,7 +420,7 @@ def run_until_consensus(
     (status "timeout"). Stops and timeouts are results, not errors. The loop
     keeps nothing per step.
     """
-    if max_steps < 0:
+    if sbm_graph._require_int("max_steps", max_steps) < 0:
         raise ValueError("max_steps must be >= 0")
     _check_size(g, s0)
     n, nv = g.n, g.num_vertices

@@ -20,13 +20,13 @@ import pytest
 import votedyn as vd
 from votedyn import (
     ExperimentConfig,
+    InducedMap,
     competitive_checks,
     eigen_table,
     fixed_point_locations,
     generate_sbm,
     goodness_report,
     graph_from_edges,
-    induced_map,
     jacobian_analytic,
     make_rule_best_of,
     make_rule_bo2,
@@ -140,9 +140,9 @@ def test_criterion_3_fixed_point_jacobian_consistency():
             u = float(rng.uniform(0.05, 0.95))
             d2 = float(rng.uniform(0.0, 1.0))
             d1 = float(rng.uniform(0.0, 1.0 - d2))
-            m = induced_map(rule, r_of_u(u))
+            m = InducedMap(rule, r_of_u(u))
             ja = jacobian_analytic(model, m.u, (d1, d2))
-            jn = oracles.fd_jacobian(lambda x, y: m.eval((x, y)), d1, d2)
+            jn = oracles.fd_jacobian(lambda x, y: m.delta((x, y)), d1, d2)
             worst_jac = max(
                 worst_jac,
                 abs(ja.j11 - jn[0]),

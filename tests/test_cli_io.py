@@ -58,11 +58,15 @@ def svg_stats(path) -> dict:
 # --- package surface ---
 
 
+def _top_level_exports() -> dict:
+    return {name: value for name, value in vars(vd).items() if not name.startswith("_") and not inspect.ismodule(value)}
+
+
 def test_top_level_exports_are_pinned():
     # what the README, the CLI and the acceptance battery name, with the types
     # and constants they take or return; everything else is imported from its
     # module, so a new top-level name is a visible decision
-    exported = {name for name, value in vars(vd).items() if not name.startswith("_") and not inspect.ismodule(value)}
+    exported = set(_top_level_exports())
     assert exported == {
         "CLASS_CONSENSUS", "CLASS_MARGINAL", "CLASS_SADDLE", "CLASS_SINK", "CLASS_SOURCE",
         "DegreeStats", "ExperimentConfig", "FixedPointReport", "Graph", "InducedMap",
@@ -70,15 +74,27 @@ def test_top_level_exports_are_pinned():
         "STATUS_TIMEOUT", "ThresholdResult", "Trajectory", "TrialRecord", "VotingRule",
         "analyze", "biased_global", "clustered", "competitive_checks", "degree_stats",
         "derive_seed", "eigen_table", "escape_time", "exact_counts",
-        "fixed_point_locations", "fractions", "generate_sbm",
-        "goodness_report", "graph_from_edges", "half_half", "induced_map", "iterate",
+        "fixed_point_locations", "generate_sbm",
+        "goodness_report", "graph_from_edges", "half_half", "iterate",
         "jacobian_analytic", "load_graph", "make_initial", "make_rule_best_of",
         "make_rule_bo2", "make_rule_bo3", "parse_init_family", "phase_sweep", "r_of_u",
-        "random_density", "rule_from_name", "run_trials", "run_until_consensus",
+        "random_density", "run_trials", "run_until_consensus",
         "save_graph", "sink_persistence", "state_from_member", "step_probabilities",
         "step_sampling", "threshold_r", "to_alpha", "to_delta", "trajectory_deviation",
         "u_of_r", "w_stat", "worst_case_scan", "write_results_csv", "write_trajectory_csv",
     }
+
+
+def test_module_all_lists_are_true():
+    # perfbench's tracer looks up every __all__ name, so a stale entry would
+    # fail only at benchmark time; and each top-level export is declared
+    # public by a module that holds the same object
+    modules = [importlib.import_module(f"votedyn.{m.name}") for m in pkgutil.iter_modules(vd.__path__)]
+    for mod in modules:
+        for name in getattr(mod, "__all__", ()):
+            assert hasattr(mod, name), f"{mod.__name__}.{name}"
+    for name, value in _top_level_exports().items():
+        assert any(name in getattr(mod, "__all__", ()) and getattr(mod, name) is value for mod in modules), name
 
 
 def test_cli_import_loads_no_pool_or_polynomial_module():
@@ -483,6 +499,58 @@ def test_unknown_config_keys_are_refused_before_any_trial(tmp_path, monkeypatch,
     assert not (tmp_path / "out").exists()
 
 
+_SMALL_RUN = ["--model", "bo3", "--n", "20", "--p", "0.5", "--trials", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, config, named",
+    [
+        (["sink-persist", "--r", "0.05", "--init", "exact_counts(3,3)"], None, "--init"),
+        (["sink-persist", "--r", "0.05"], {"init": "half_half"}, "config.init"),
+        (["worst-case", "--r", "0.1", "--init", "half_half"], None, "--init"),
+        (["worst-case", "--r", "0.1"], {"init": "half_half"}, "config.init"),
+        (["escape", "--r", "0.05", "--max-steps", "7", "--budget", "20"], None, "--max-steps"),
+        (["escape", "--r", "0.05"], {"max_steps": 7}, "config.max_steps"),
+        (["deviation", "--r", "0.3", "--max-steps", "7", "--t-max", "3"], None, "--max-steps"),
+        (["deviation", "--r", "0.3"], {"max_steps": 7}, "config.max_steps"),
+        (["sweep", "--r", "0.9", "--r-grid", "0.1,0.2"], None, "--r"),
+        (["sweep", "--r-grid", "0.1,0.2"], {"r": 0.9}, "config.r"),
+    ],
+)
+def test_a_field_the_driver_sets_is_refused_before_any_trial(tmp_path, monkeypatch, capsys, argv, config, named):
+    # each of these ran with the driver's own value, ignored the flag or key
+    # and echoed it in the report's config as if it had governed the run
+    def no_trials(*_args, **_kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment_harness, "run_trials", no_trials)
+    argv = [*argv, *_SMALL_RUN]
+    if argv[0] == "sweep":
+        argv += ["-o", str(tmp_path / "out")]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{named}: {argv[0]} ignores it" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_graph_flags_that_would_be_ignored_are_refused(tmp_path, capsys):
+    # --graph fixed the graph and --q fixed q, so the other flags were
+    # silently dropped
+    path = tmp_path / "g.txt"
+    vd.save_graph(vd.generate_sbm(3, 0.5, 0.5, seed=1), str(path))
+    argv = ["simulate", "--graph", str(path), "--n", "999", "--p", "0.9", "--graph-seed", "4", "--model", "bo3"]
+    assert main([*argv, "--max-steps", "2", "-o", str(tmp_path / "t.csv")]) == 2
+    assert "--n, --p, --graph-seed: ignored with --graph" in capsys.readouterr().err
+    assert not (tmp_path / "t.csv").exists()
+    argv = ["goodness", "--n", "30", "--p", "0.4", "--q", "0.1", "--r", "0.9", "--rule", "bo3", "--samples", "1"]
+    assert main(argv) == 2
+    assert "exactly one of --q or --r" in capsys.readouterr().err
+
+
 # --- closed-form commands ---
 
 
@@ -709,12 +777,17 @@ _COMMANDS = {
     "vector-field": (["--model", "--r"], ["--grid-step", "--space"], []),
     "sweep": (["--trials", "--max-steps"], [*_EXPERIMENT, "--r-grid"], ["-o", "outdir"]),
     "sink-persist": (["--trials", "--max-steps"], [*_EXPERIMENT, "--epsilon"], []),
-    "escape": (["--trials", "--max-steps"], [*_EXPERIMENT, "--kappa", "--budget", "--budget-c"], []),
+    "escape": (["--trials", "--budget"], [*_EXPERIMENT, "--kappa", "--budget-c"], []),
     "worst-case": (["--trials", "--max-steps"], _EXPERIMENT, ["--csv", "out.csv"]),
-    "deviation": (["--trials", "--max-steps"], [*_EXPERIMENT, "--t-max"], []),
+    "deviation": (["--trials", "--t-max"], _EXPERIMENT, []),
     "goodness": (["--rule", "--samples"], ["--l", "--sizes", "--seed"], []),
 }
-_GRAPH_SOURCE = (["--n", "--p", "--q"], ["--r", "--graph-seed"])
+# a graph file alone, or inline parameters with exactly one of --q and --r
+_GRAPH_SOURCES = [
+    (["--graph"], []),
+    (["--n", "--p", "--q"], ["--graph-seed"]),
+    (["--n", "--p", "--r"], ["--graph-seed"]),
+]
 _JSON_STDOUT = {"analyze", "sink-persist", "escape", "worst-case", "deviation", "goodness"}
 # flags that set how much work a run does: only these may keep it running
 _WORK_FLAGS = {"--max-steps", "--samples", "--budget", "--budget-c", "--t-max"}
@@ -724,7 +797,7 @@ def _draw_argv(data, d) -> list[str]:
     command = data.draw(st.sampled_from(sorted(_COMMANDS)))
     required, optional, output = _COMMANDS[command]
     if command in ("simulate", "goodness"):
-        source = data.draw(st.sampled_from([(["--graph"], []), _GRAPH_SOURCE]))
+        source = data.draw(st.sampled_from(_GRAPH_SOURCES))
         required, optional = [*source[0], *required], [*source[1], *optional]
     flags = required + [f for f in optional if data.draw(st.booleans())]
     values = [data.draw(st.sampled_from(_VALID[f])) for f in flags]

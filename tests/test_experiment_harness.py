@@ -15,11 +15,11 @@ import votedyn as vd
 from votedyn import (
     ExperimentConfig,
     TrialRecord,
+    VotingRule,
     derive_seed,
     escape_time,
     fixed_point_locations,
     phase_sweep,
-    rule_from_name,
     run_trials,
     sink_persistence,
     trajectory_deviation,
@@ -91,14 +91,14 @@ def test_derive_seed_sensitivity():
 
 
 def test_rule_from_name():
-    assert rule_from_name("bo3").name == "bo3"
-    assert rule_from_name("bo2").name == "bo2"
-    assert rule_from_name("best_of_5").name == "best_of_5"
-    assert rule_from_name("best_of_25").name == "best_of_25"
-    assert [rule_from_name(name).draws for name in ("bo2", "bo3", "best_of_5", "best_of_25")] == [2, 3, 5, 25]
+    assert VotingRule("bo3").name == "bo3"
+    assert VotingRule("bo2").name == "bo2"
+    assert VotingRule("best_of_5").name == "best_of_5"
+    assert VotingRule("best_of_25").name == "best_of_25"
+    assert [VotingRule(name).draws for name in ("bo2", "bo3", "best_of_5", "best_of_25")] == [2, 3, 5, 25]
     for bad in ("bo7", "best_of_4", "best_of_1", "best_of_27", "poly"):
         with pytest.raises(ValueError):
-            rule_from_name(bad)
+            VotingRule(bad)
 
 
 # --- config validation ---
@@ -125,6 +125,24 @@ def test_config_validation():
     assert small_cfg(trials=MAX_TRIALS).trials == MAX_TRIALS
     with pytest.raises(ValueError, match="trials"):
         small_cfg(trials=MAX_TRIALS + 1)
+    # trials=2.0 passed construction and failed in run_trials with a
+    # TypeError; n=True was taken for n = 1
+    for field, value in (("n", True), ("trials", 2.0), ("max_steps", 10.5), ("workers", 1.0)):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            small_cfg(**{field: value})
+
+
+def test_a_fractional_budget_or_step_count_is_refused_before_any_trial(monkeypatch):
+    # a budget of 2.5 steps became the trials' max_steps, which the run loop
+    # never meets
+    def no_trials(*_args, **_kwargs):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiment_harness, "run_trials", no_trials)
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        escape_time(small_cfg(), kappa=0.2, budget=2.5)
+    with pytest.raises(ValueError, match="max_steps must be an integer"):
+        trajectory_deviation(small_cfg(), t_max=2.5)
 
 
 # --- run_trials ---

@@ -17,11 +17,11 @@ from votedyn import (
     CLASS_SADDLE,
     CLASS_SINK,
     CLASS_SOURCE,
+    InducedMap,
     analyze,
     competitive_checks,
     eigen_table,
     fixed_point_locations,
-    induced_map,
     jacobian_analytic,
     make_rule_bo2,
     make_rule_bo3,
@@ -95,9 +95,9 @@ def test_jacobian_analytic_vs_numeric():
             u = float(rng.uniform(0.05, 0.95))
             d2 = float(rng.uniform(0.0, 1.0))
             d1 = float(rng.uniform(0.0, 1.0 - d2))
-            m = induced_map(rule, r_of_u(u))
+            m = InducedMap(rule, r_of_u(u))
             ja = jacobian_analytic(model, m.u, (d1, d2))
-            jn = oracles.fd_jacobian(lambda x, y: m.eval((x, y)), d1, d2)
+            jn = oracles.fd_jacobian(lambda x, y: m.delta((x, y)), d1, d2)
             for fa, fn in zip((ja.j11, ja.j12, ja.j21, ja.j22), jn):
                 assert fa == pytest.approx(fn, abs=1e-6)
 

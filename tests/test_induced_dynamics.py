@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -12,15 +13,14 @@ from hypothesis import strategies as st
 
 import votedyn as vd
 from votedyn import (
+    InducedMap,
     fixed_point_locations,
-    induced_map,
     iterate,
     make_rule_bo2,
     make_rule_bo3,
     r_of_u,
     u_of_r,
 )
-from votedyn.induced_dynamics import eval_H, eval_T_generic
 
 from . import oracles
 
@@ -65,8 +65,8 @@ def test_u_of_r_roundtrip(r):
 
 
 def test_eval_H_frozen_point():
-    m = induced_map(make_rule_bo3(), 1.0 / 9.0)
-    assert _close(eval_H(m, (0.6, 0.55)), (0.64078525, 0.58216725))
+    m = InducedMap(make_rule_bo3(), 1.0 / 9.0)
+    assert _close(m.alpha((0.6, 0.55)), (0.64078525, 0.58216725))
 
 
 @given(
@@ -82,9 +82,9 @@ def test_eval_H_matches_exact_arithmetic(i, j, k, model):
         rule, f1, f2 = make_rule_bo3(), oracles.bo3_f, oracles.bo3_f
     else:
         rule, f1, f2 = make_rule_bo2(), oracles.bo2_f1, oracles.bo2_f2
-    m = induced_map(rule, float(r))
+    m = InducedMap(rule, float(r))
     want = oracles.h_map(f1, f2, r, a1, a2)
-    assert _close(eval_H(m, (float(a1), float(a2))), [float(w) for w in want])
+    assert _close(m.alpha((float(a1), float(a2))), [float(w) for w in want])
 
 
 @given(
@@ -94,7 +94,7 @@ def test_eval_H_matches_exact_arithmetic(i, j, k, model):
 )
 @settings(max_examples=100, deadline=None)
 def test_eval_H_stays_in_unit_square(a1, a2, r):
-    h1, h2 = eval_H(induced_map(make_rule_bo3(), r), (a1, a2))
+    h1, h2 = InducedMap(make_rule_bo3(), r).alpha((a1, a2))
     assert -1e-12 <= h1 <= 1.0 + 1e-12
     assert -1e-12 <= h2 <= 1.0 + 1e-12
 
@@ -152,8 +152,8 @@ def test_bo2_equals_bo3_at_u_one():
 def test_conjugation_identity(d, u, model):
     rule = make_rule_bo3() if model == "bo3" else make_rule_bo2()
     closed = oracles.eval_T_bo3 if model == "bo3" else oracles.eval_T_bo2
-    m = induced_map(rule, r_of_u(u))
-    assert _close(eval_T_generic(m, d), closed(m.u, d))
+    m = InducedMap(rule, r_of_u(u))
+    assert _close(m.delta(d), closed(m.u, d))
 
 
 def test_conjugation_identity_on_grid():
@@ -161,13 +161,13 @@ def test_conjugation_identity_on_grid():
     for u in (0.0, 0.25, 0.5, 2.0 / 3.0, 0.75, 0.9, 1.0):
         for model, closed in (("bo3", oracles.eval_T_bo3), ("bo2", oracles.eval_T_bo2)):
             rule = make_rule_bo3() if model == "bo3" else make_rule_bo2()
-            m = induced_map(rule, r_of_u(u))
+            m = InducedMap(rule, r_of_u(u))
             worst = 0.0
             for d1 in grid:
                 for d2 in grid:
                     if d1 + d2 > 1.0 + 1e-12:
                         continue
-                    a = np.asarray(eval_T_generic(m, (d1, d2)))
+                    a = np.asarray(m.delta((d1, d2)))
                     b = np.asarray(closed(m.u, (d1, d2)))
                     worst = max(worst, float(np.max(np.abs(a - b))))
             assert worst <= 1e-12, (model, u, worst)
@@ -177,20 +177,19 @@ def test_conjugation_identity_on_grid():
 
 
 def test_induced_map_spaces():
-    ma = induced_map(make_rule_bo3(), 1.0 / 9.0, space="alpha")
-    md = induced_map(make_rule_bo3(), 1.0 / 9.0)
-    assert ma.space == "alpha" and md.space == "delta"
-    assert _close(ma.eval((0.6, 0.55)), eval_H(ma, (0.6, 0.55)), tol=0.0)
-    assert _close(md.eval((0.2, 0.1)), eval_T_generic(md, (0.2, 0.1)), tol=0.0)
+    # one map, stepped in either coordinates: its delta step is its alpha
+    # step conjugated, bit for bit
+    m = InducedMap(make_rule_bo3(), 1.0 / 9.0)
+    assert [f.name for f in dataclasses.fields(m)] == ["rule", "r"]
+    assert m.u == u_of_r(1.0 / 9.0)
+    assert _close(m.delta((0.2, 0.1)), vd.to_delta(*m.alpha(vd.to_alpha(0.2, 0.1))), tol=0.0)
 
 
 def test_induced_map_validation():
     with pytest.raises(ValueError):
-        induced_map(make_rule_bo3(), 1.5)
+        InducedMap(make_rule_bo3(), 1.5)
     with pytest.raises(ValueError):
-        induced_map(make_rule_bo3(), -0.1)
-    with pytest.raises(ValueError):
-        induced_map(make_rule_bo3(), 0.2, space="polar")
+        InducedMap(make_rule_bo3(), -0.1)
 
 
 # --- invariance of the closed quadrant ---
@@ -201,7 +200,7 @@ def test_induced_map_validation():
 def test_T_generic_preserves_S(d, u):
     # S = {d1, d2 >= 0, d1 + d2 <= 1} is forward-invariant for both rules
     for rule in (make_rule_bo3(), make_rule_bo2()):
-        t1, t2 = eval_T_generic(induced_map(rule, r_of_u(u)), d)
+        t1, t2 = InducedMap(rule, r_of_u(u)).delta(d)
         assert t1 >= -1e-12 and t2 >= -1e-12
         assert t1 + t2 <= 1.0 + 1e-12
 
@@ -218,32 +217,32 @@ def test_T_preserves_diamond(d, u):
 
 
 def test_iterate_shape_and_start():
-    m = induced_map(make_rule_bo3(), 1.0 / 9.0)
-    pts = iterate(m, (0.2, 0.1), 3)
+    m = InducedMap(make_rule_bo3(), 1.0 / 9.0)
+    pts = iterate(m.delta, (0.2, 0.1), 3)
     assert pts.shape == (4, 2)
     assert _close(pts[0], (0.2, 0.1), tol=0.0)
     assert _close(pts[1], oracles.eval_T_bo3(m.u, (0.2, 0.1)))
-    assert iterate(m, (0.2, 0.1), 0).shape == (1, 2)
+    assert iterate(m.delta, (0.2, 0.1), 0).shape == (1, 2)
 
 
 def test_orbit_limit_basins_bo3():
-    m = induced_map(make_rule_bo3(), 1.0 / 9.0)  # u = 0.8
+    m = InducedMap(make_rule_bo3(), 1.0 / 9.0)  # u = 0.8
     d2 = fixed_point_locations("bo3", 0.8)["d2*"]
     assert d2[0] == pytest.approx(0.8838834764831848, abs=1e-15)
-    assert _close(iterate(m, (0.5, 0.0), 200)[-1], d2, tol=1e-8)
-    assert _close(iterate(m, (-0.5, 0.0), 200)[-1], (-d2[0], d2[1]), tol=1e-8)
+    assert _close(iterate(m.delta, (0.5, 0.0), 200)[-1], d2, tol=1e-8)
+    assert _close(iterate(m.delta, (-0.5, 0.0), 200)[-1], (-d2[0], d2[1]), tol=1e-8)
     # Below the interior threshold every interior start drifts to consensus.
-    m_low = induced_map(make_rule_bo3(), r_of_u(0.5))
+    m_low = InducedMap(make_rule_bo3(), r_of_u(0.5))
     d4 = fixed_point_locations("bo3", 0.5)["d4*"]
-    assert _close(iterate(m_low, (0.3, 0.2), 200)[-1], d4, tol=1e-8)
+    assert _close(iterate(m_low.delta, (0.3, 0.2), 200)[-1], d4, tol=1e-8)
 
 
 def test_orbit_limit_basins_bo2():
-    m = induced_map(make_rule_bo2(), r_of_u(0.7))
+    m = InducedMap(make_rule_bo2(), r_of_u(0.7))
     d2 = fixed_point_locations("bo2", 0.7)["d2*"]
     assert d2[0] == pytest.approx(math.sqrt(0.4) / 0.7, abs=1e-15)
-    assert _close(iterate(m, (0.5, 0.02), 200)[-1], d2, tol=1e-8)
+    assert _close(iterate(m.delta, (0.5, 0.02), 200)[-1], d2, tol=1e-8)
     # (0, 0) is fixed at u = 0.4
     d1 = fixed_point_locations("bo2", 0.4)["d1*"]
-    pts = iterate(induced_map(make_rule_bo2(), r_of_u(0.4)), d1, 1)
+    pts = iterate(InducedMap(make_rule_bo2(), r_of_u(0.4)).delta, d1, 1)
     assert _close(pts[1], (0.0, 0.0), tol=0.0)

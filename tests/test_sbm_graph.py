@@ -22,12 +22,12 @@ from hypothesis import strategies as st
 
 from votedyn import (
     Graph,
+    VotingRule,
     degree_stats,
     generate_sbm,
     graph_from_edges,
     load_graph,
     save_graph,
-    rule_from_name,
     state_from_member,
     step_sampling,
 )
@@ -989,7 +989,7 @@ def test_packed_rows_are_built_by_the_first_count_within_one_block(tmp_path):
     path = tmp_path / "g.txt"
     save_graph(dense, path)
     built = [dense, load_graph(path), graph_from_edges(dense.n, _edge_array(dense))]
-    step_sampling(dense, state_from_member(dense.degrees > 750), rule_from_name("bo3"),
+    step_sampling(dense, state_from_member(dense.degrees > 750), VotingRule("bo3"),
                   np.random.Generator(np.random.Philox(key=1)))
     assert [(g._packed, g._rows) for g in built] == [(True, None)] * 3
     sparse = generate_sbm(2000, 0.02, 0.01, seed=1)
