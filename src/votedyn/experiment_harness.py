@@ -17,6 +17,7 @@ import csv
 import functools
 import hashlib
 import math
+import numbers
 
 import numpy as np
 
@@ -77,11 +78,18 @@ class ExperimentConfig:
     workers: int = 1
 
     def __post_init__(self):
+        # a bool is a number to Python, but never a probability or a ratio
+        for name in ("p", "r"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.shared_graph, bool):
+            raise ValueError(f"shared_graph must be a bool, got {self.shared_graph!r}")
         if not 0.0 <= self.r <= 1.0:
             raise ValueError("r must lie in [0,1]")
         if not 0.0 < self.p <= 1.0:
             raise ValueError("p must lie in (0,1]")
-        for name in ("n", "trials", "max_steps", "workers"):
+        for name in ("n", "trials", "max_steps", "workers", "master_seed"):
             sbm_graph._require_int(name, getattr(self, name))
         if self.n < 1 or self.max_steps < 0:
             raise ValueError("n >= 1; max_steps >= 0")

@@ -117,8 +117,11 @@ class Graph:
         PACKED_FILL per 64-bit row word, counts on packed adjacency rows,
         built by its first call and kept: bit v of row u is set iff v is a
         neighbor of u, and a vertex's count is the population count of its
-        row and the packed mask. Any other graph gathers the mask over its
-        neighbor array, in vertex blocks of at most BUILD_BLOCK entries."""
+        row and the packed mask; an isolated vertex's row is all zeros. Any
+        other graph gathers the mask over its neighbor array, in vertex blocks
+        of at most BUILD_BLOCK entries, so a count holds one block's intp ids,
+        votes and their int32 cast, about 13 B per entry, and the graph keeps
+        nothing from it."""
         if self._packed:
             if self._rows is None:
                 object.__setattr__(self, "_rows", _pack_rows(self))
@@ -152,7 +155,8 @@ def _sample_pairs(rng: np.random.Generator, m: int, prob: float, keys: np.ndarra
     # floor(log(1-u) / log(1-prob)) (Batagelj and Brandes, Phys. Rev. E 71,
     # 036113, 2005). The chunk sizes fix how many words each block consumes,
     # so a chunk is drawn BUILD_BLOCK uniforms at a time and its words past
-    # the cut at m are skipped unread; each index becomes two directed keys
+    # the cut at m are skipped unread, leaving the stream where whole chunks
+    # would; each index becomes two directed keys
     cap = MAX_ENTRIES // 2
     if m == 0 or prob <= 0.0:
         return end
@@ -202,7 +206,8 @@ def _pair_blocks(n: int) -> list[tuple[np.ndarray, int, np.ndarray]]:
 
 def _block_edges(hits, starts, row0, col0, dtype) -> tuple[np.ndarray, np.ndarray]:
     # the edges (row0 + r, col0[r] + k - starts[r]) of the ascending pair
-    # indices k, where row r of the block owns starts[r] <= k < starts[r+1]
+    # indices k, where row r of the block owns starts[r] <= k < starts[r+1];
+    # each index's row is found by binary search, not by a square root
     counts = np.diff(np.searchsorted(hits, starts))
     u = np.repeat(np.arange(row0, row0 + counts.size, dtype=dtype), counts)
     v = hits.astype(dtype)
@@ -497,8 +502,9 @@ def save_graph(g: Graph, dest) -> None:
 
 
 # directed neighbor entries per write block, and characters per read block;
-# either bounds the text buffers of one block. A read block's parse
-# temporaries stay in the heap after the load: several MiB at 2^18 characters
+# either bounds the text buffers of one block, so neither side holds the
+# whole file's text. A read block's parse temporaries stay in the heap after
+# the load: several MiB at 2^18 characters
 WRITE_BLOCK = 1 << 16
 READ_BLOCK = 1 << 16
 

@@ -171,7 +171,9 @@ def _law_table(horner: tuple) -> np.ndarray:
 def _horner(coeffs: tuple, x):
     # polyval's operation order (c0 = c[-i] + c0*x) without its per-call
     # argument checks and numpy-scalar coefficients; bit for bit the same, on
-    # arrays and scalars, while the leading coefficient is non-zero
+    # arrays and scalars, while the leading coefficient is non-zero. It is the
+    # law's one evaluator: f1, f2, the tables and step_probabilities run it,
+    # and the tests keep polyval as its reference
     acc = x * coeffs[0]
     acc += coeffs[1]
     for c in coeffs[2:]:
@@ -292,8 +294,11 @@ def _key_ids(g: Graph):
     # copies of its own, a writeable copy of their segment starts
     # 2*offsets[v] + v (reduceat copies a read-only index array on every
     # call) and the bases d(d+1): a segment's votes plus its base are the
-    # vertex's table key. False on any other graph. Made by the graph's first
-    # call and kept, at most 16 B per entry and 24 B per vertex
+    # vertex's table key. Every segment holds at least its d+1 own ids, so,
+    # unlike a gather count, no degree-0 vote needs fixing up, and the votes
+    # are counted by the gather's kernel, sbm_graph._count_ids. False on any
+    # other graph. Made by the graph's first call and kept, at most 16 B per
+    # entry and 24 B per vertex
     ids, offsets, deg = g.neighbors, g.offsets[:-1], g.degrees
     # count_nonzero rather than max, a reduction that costs 1 us on 6 vertices
     if ids.size > sbm_graph.BUILD_BLOCK or np.count_nonzero(deg > PROB_TABLE_DEG):
@@ -393,6 +398,14 @@ def step_sampling(g: Graph, s: OpinionState, rule: VotingRule, rng: np.random.Ge
     return _own_state(new)
 
 
+def _check_run(g: Graph, s0: OpinionState, max_steps) -> None:
+    # the inputs run_until_consensus refuses, checked by write_trajectory_csv
+    # too before it writes anything
+    if sbm_graph._require_int("max_steps", max_steps) < 0:
+        raise ValueError("max_steps must be >= 0")
+    _check_size(g, s0)
+
+
 @dataclass
 class Trajectory:
     """The terminal status of a run; the states it visited went to the
@@ -420,9 +433,7 @@ def run_until_consensus(
     (status "timeout"). Stops and timeouts are results, not errors. The loop
     keeps nothing per step.
     """
-    if sbm_graph._require_int("max_steps", max_steps) < 0:
-        raise ValueError("max_steps must be >= 0")
-    _check_size(g, s0)
+    _check_run(g, s0, max_steps)
     n, nv = g.n, g.num_vertices
     s = s0
     t = 0
@@ -568,7 +579,9 @@ def write_trajectory_csv(
 ) -> Trajectory:
     """Run until consensus and write the trajectory as it goes: header
     t,alpha1,alpha2,delta1,delta2, one row per visited state with floats to 9
-    significant digits, and a final comment line with the terminal status."""
+    significant digits, and a final comment line with the terminal status.
+    Inputs that run_until_consensus refuses raise before anything is written."""
+    _check_run(g, s0, max_steps)
     fh.write("t,alpha1,alpha2,delta1,delta2\n")
 
     def row(t, a1, a2):

@@ -29,6 +29,8 @@ import votedyn as vd
 from votedyn import experiment_harness
 from votedyn.cli_io import build_parser, main
 
+from .test_golden import _commands
+
 
 def svg_stats(path) -> dict:
     text = path.read_text()
@@ -710,6 +712,83 @@ def test_readme_references_resolve():
                 obj = getattr(obj, attr)
             checked.add(ref.group())
     assert {"votedyn.voting_core", "sbm_graph.MAX_N", "experiment_harness.MAX_WORKERS"} <= checked
+
+
+def test_readme_python_blocks_run():
+    # every python block of the README runs as written, each in a fresh
+    # namespace, so the quick start cannot drift from the library
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = [block.split("```")[0] for block in readme.split("```python\n")[1:]]
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_contracts_match_the_code(tmp_path):
+    # the README's caps, CSV headers, trajectory status lines and JSON keys
+    # are those of the code and of a real small run of every JSON subcommand,
+    # so a key added or dropped without a README edit fails here
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    caps = {}
+    for line in readme.splitlines():
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        if len(cells) == 3 and cells[2].startswith("`") and ".MAX_" in cells[2]:
+            base, _, power = cells[1].partition("^")
+            caps[cells[2].strip("`")] = int(base) ** int(power or 1)
+    assert caps == {
+        "experiment_harness.MAX_WORKERS": experiment_harness.MAX_WORKERS,
+        "experiment_harness.MAX_TRIALS": experiment_harness.MAX_TRIALS,
+        "sbm_graph.MAX_N": vd.sbm_graph.MAX_N,
+        "sbm_graph.MAX_ENTRIES": vd.sbm_graph.MAX_ENTRIES,
+        "cli_io.MAX_GRID_AXIS": vd.cli_io.MAX_GRID_AXIS,
+    }
+
+    ticked = re.compile(r"`([^`]+)`").findall
+    schemas = readme.split("\n## Output schemas\n")[1].split("\n## ")[0]
+    spans = ticked(schemas)
+    table = {}
+    for line in schemas.splitlines():
+        if line.startswith("| `"):
+            name, keys = line.strip("|").split("|")
+            table[ticked(name)[0]] = ticked(keys)
+
+    docs, trajectories = {}, []
+    argvs = [*_commands(tmp_path), ["analyze", "--model", "bo3", "--r", "0.25", "-o", str(tmp_path / "a.json")]]
+    for argv in argvs:
+        assert main(argv) == 0, argv
+        out = Path(argv[argv.index("-o") + 1])
+        if argv[0] == "sweep":
+            out = out / "summary.json"
+        if out.suffix == ".json":
+            docs.setdefault(argv[0], []).append(json.loads(out.read_text()))
+        elif argv[0] == "simulate":
+            trajectories.append(out.read_text().splitlines())
+    subcommands = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(docs) == set(subcommands.choices) - {"generate", "simulate", "vector-field"}
+    nested = {"config", "records", "fixed_points", "per_r"}
+    assert table.keys() == docs.keys() | nested
+    seen = set()
+    for command, reports in docs.items():
+        for doc in reports:
+            assert list(doc) == table[command], command
+            for key in nested & doc.keys():
+                seen.add(key)
+                for item in doc[key] if isinstance(doc[key], list) else [doc[key]]:
+                    assert list(item) == table[key], key
+    assert seen == nested
+
+    assert next(s for s in spans if s.startswith("model,")) == experiment_harness.RESULTS_HEADER
+    for path in (tmp_path / "sweep" / "results.csv", tmp_path / "worst_case.csv"):
+        assert path.read_text().splitlines()[0] == experiment_harness.RESULTS_HEADER
+    header = next(s for s in spans if s.startswith("t,"))
+    forms = [re.sub(r"<[^>]+>", r"\\d+", re.escape(s)) for s in spans if s.startswith("# status=")]
+    matched = set()
+    for lines in trajectories:
+        assert lines[0] == header
+        hits = {k for k, form in enumerate(forms) if re.fullmatch(form, lines[-1])}
+        assert hits, lines[-1]
+        matched |= hits
+    assert len(forms) == 2 and matched == {0, 1}
 
 
 # --- argv fuzz ---

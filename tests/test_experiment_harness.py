@@ -127,9 +127,20 @@ def test_config_validation():
         small_cfg(trials=MAX_TRIALS + 1)
     # trials=2.0 passed construction and failed in run_trials with a
     # TypeError; n=True was taken for n = 1
-    for field, value in (("n", True), ("trials", 2.0), ("max_steps", 10.5), ("workers", 1.0)):
+    # master_seed=1.9 ran the trials of seed 1
+    for field, value in (
+        ("n", True), ("trials", 2.0), ("max_steps", 10.5), ("workers", 1.0), ("master_seed", 1.9)
+    ):
         with pytest.raises(ValueError, match=f"{field} must be an integer"):
             small_cfg(**{field: value})
+    # p=True ran as p = 1, and shared_graph="no" shared the graph
+    for field, value in (("p", True), ("r", False), ("p", "0.5"), ("r", None), ("p", 0.5j)):
+        with pytest.raises(ValueError, match=f"{field} must be a real number"):
+            small_cfg(**{field: value})
+    for value in ("no", 0, None):
+        with pytest.raises(ValueError, match="shared_graph must be a bool"):
+            small_cfg(shared_graph=value)
+    assert small_cfg(p=1).p == 1 and small_cfg(shared_graph=True).shared_graph
 
 
 def test_a_fractional_budget_or_step_count_is_refused_before_any_trial(monkeypatch):

@@ -957,6 +957,19 @@ def test_trajectory_csv_timeout_comment():
     assert buf.getvalue().splitlines()[-1] == "# status=timeout steps=0"
 
 
+def test_trajectory_csv_refused_input_writes_nothing():
+    # the header was written before the run loop checked its inputs, so a
+    # refused budget left a header-only trajectory
+    g = generate_sbm(20, 0.4, 0.1, seed=1)
+    s = make_initial(g, vd.half_half(), np.random.default_rng(0))
+    other = state_from_member(np.zeros(2, dtype=bool))
+    for state, budget, match in ((s, -1, ">= 0"), (s, 10.5, "integer"), (other, 5, "vertices")):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=match):
+            write_trajectory_csv(g, state, make_rule_bo3(), budget, np.random.default_rng(0), buf)
+        assert buf.getvalue() == ""
+
+
 # --- monotone coupling ---
 
 
